@@ -37,9 +37,8 @@ def _read(path: str) -> str:
 
 
 def _write_out(args, text: str) -> None:
-    out = getattr(args, "output", None)
-    if out:
-        Path(out).write_text(text, encoding="utf-8")
+    if args.output:
+        Path(args.output).write_text(text, encoding="utf-8")
     else:
         sys.stdout.write(text)
 
@@ -47,7 +46,7 @@ def _write_out(args, text: str) -> None:
 def _load(args) -> tuple[str, object]:
     text = _read(args.path)
     if args.format == "aba":
-        return "aba", io.parse_aba(text, strict_dummy=getattr(args, "strict_dummy", False))
+        return "aba", io.parse_aba(text, strict_dummy=args.strict_dummy)
     return "setaf", io.parse_setaf(text)
 
 
@@ -65,7 +64,7 @@ def _auto_split_set(framework, fmt: str) -> frozenset[int]:
 
 
 def _explicit_split_set(args, framework) -> Optional[frozenset[int]]:
-    if getattr(args, "split_set", None) is None:
+    if args.split_set is None:
         return None
     size = framework.n_atoms if hasattr(framework, "n_atoms") else framework.n_args
     return io.parse_atom_set(_read(args.split_set), size)
@@ -74,7 +73,7 @@ def _explicit_split_set(args, framework) -> Optional[frozenset[int]]:
 def cmd_solve(args) -> int:
     fmt, fw = _load(args)
     sem = _semantics(args)
-    mode = getattr(args, "mode", "direct")
+    mode = args.mode
     if mode == "param":
         if fmt != "aba" or sem is not Semantics.STB:
             raise SplitkitError("parametrised solving covers stable semantics on ABA input only")
@@ -208,16 +207,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=("direct", "split", "param"), default="direct")
     p.add_argument("--split-set", default=None, help="file with one atom id per line")
     p.set_defaults(func=cmd_solve)
-
-    p = sub.add_parser("split-solve", help="solve via a (found or given) splitting")
-    _add_common(p)
-    p.add_argument("--split-set", default=None)
-    p.set_defaults(func=cmd_solve, mode="split")
-
-    p = sub.add_parser("param-split", help="stable semantics via a quasi-splitting")
-    _add_common(p, semantics=False)
-    p.add_argument("--split-set", default=None)
-    p.set_defaults(func=cmd_solve, mode="param", semantics="stb")
 
     p = sub.add_parser("instantiate", help="translate between ABA and SETAF")
     _add_common(p, semantics=False)

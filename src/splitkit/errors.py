@@ -11,6 +11,14 @@ class ValidationError(SplitkitError):
     """A framework (or framework-level input) violates a structural invariant."""
 
 
+class UnsupportedSemantics(ValidationError, ValueError):
+    """A solver was asked for a semantics it does not cover."""
+
+
+class InvalidGuard(ValidationError, ValueError):
+    """The enumeration guard is not a nonnegative integer."""
+
+
 class ParseError(SplitkitError):
     def __init__(self, line_no: int, message: str):
         super().__init__(f"line {line_no}: {message}")

@@ -42,10 +42,6 @@ def dependency_graph(abaf: Abaf) -> Digraph:
     return Digraph(abaf.n_atoms, frozenset(edges), abaf.names)
 
 
-def condensation(g: Digraph) -> Condensation:
-    return condense(g)
-
-
 def _ideal_atoms(cond: Condensation, ideal: frozenset[int]) -> frozenset[int]:
     atoms: set[int] = set()
     for i in ideal:

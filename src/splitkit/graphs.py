@@ -152,6 +152,7 @@ def order_ideals(cond: Condensation, limit: Optional[int] = None) -> list[frozen
         return True
 
     rec(0, set())
+    del rec  # rec's closure holds rec: break the cycle, or `out` lives until a gc pass
     return out
 
 

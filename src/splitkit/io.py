@@ -36,7 +36,7 @@ def _tokens(text: str):
         parts = line.split()
         if parts[0] == "#":
             if len(parts) >= 3 and parts[1] == "name":
-                yield line_no, ["name", parts[2], " ".join(parts[3:])]
+                yield line_no, ["#name", parts[2], " ".join(parts[3:])]
             continue
         if parts[0].startswith("#"):
             continue
@@ -53,29 +53,41 @@ def _parse_id(line_no: int, token: str, n: int) -> int:
     return i - 1
 
 
-def parse_aba(text: str, strict_dummy: bool = False) -> Abaf:
+def _read_framework(text: str, kind: str) -> tuple[int, list[str], list[tuple[int, list[str]]]]:
+    """The size from the ``p <kind> <n>`` header, the display names, and the
+    remaining directives with their line numbers."""
     n = None
     names: list[str] = []
-    assumptions: set[int] = set()
-    contrary: dict[int, int] = {}
-    rules: list[Rule] = []
+    directives = []
     for line_no, parts in _tokens(text):
         if parts[0] == "p":
             if n is not None:
                 raise ParseError(line_no, "duplicate header")
-            if len(parts) != 3 or parts[1] != "aba":
-                raise ParseError(line_no, "expected header 'p aba <n>'")
+            if len(parts) != 3 or parts[1] != kind or not parts[2].isdecimal():
+                raise ParseError(line_no, f"expected header 'p {kind} <n>' with n >= 0")
             n = int(parts[2])
             names = [str(i + 1) for i in range(n)]
-            continue
-        if n is None:
-            raise ParseError(line_no, "missing 'p aba <n>' header")
-        if parts[0] == "name":
+        elif n is None:
+            raise ParseError(line_no, f"missing 'p {kind} <n>' header")
+        elif parts[0] == "#name":
             idx = _parse_id(line_no, parts[1], n)
             if not parts[2]:
                 raise ParseError(line_no, "empty display name")
             names[idx] = parts[2]
-        elif parts[0] == "a":
+        else:
+            directives.append((line_no, parts))
+    if n is None:
+        raise ParseError(1, f"missing 'p {kind} <n>' header")
+    return n, names, directives
+
+
+def parse_aba(text: str, strict_dummy: bool = False) -> Abaf:
+    n, names, directives = _read_framework(text, "aba")
+    assumptions: set[int] = set()
+    contrary: dict[int, int] = {}
+    rules: list[Rule] = []
+    for line_no, parts in directives:
+        if parts[0] == "a":
             if len(parts) != 2:
                 raise ParseError(line_no, "expected 'a <i>'")
             assumptions.add(_parse_id(line_no, parts[1], n))
@@ -94,8 +106,6 @@ def parse_aba(text: str, strict_dummy: bool = False) -> Abaf:
             rules.append(Rule(head, body))
         else:
             raise ParseError(line_no, f"unknown directive {parts[0]!r}")
-    if n is None:
-        raise ParseError(1, "missing 'p aba <n>' header")
     missing = assumptions - set(contrary)
     if missing:
         raise ValidationError(
@@ -120,24 +130,10 @@ def parse_aba(text: str, strict_dummy: bool = False) -> Abaf:
 
 
 def parse_setaf(text: str) -> Setaf:
-    n = None
-    names: list[str] = []
+    n, names, directives = _read_framework(text, "setaf")
     attacks: list[tuple[frozenset[int], int]] = []
-    for line_no, parts in _tokens(text):
-        if parts[0] == "p":
-            if n is not None:
-                raise ParseError(line_no, "duplicate header")
-            if len(parts) != 3 or parts[1] != "setaf":
-                raise ParseError(line_no, "expected header 'p setaf <n>'")
-            n = int(parts[2])
-            names = [str(i + 1) for i in range(n)]
-            continue
-        if n is None:
-            raise ParseError(line_no, "missing 'p setaf <n>' header")
-        if parts[0] == "name":
-            idx = _parse_id(line_no, parts[1], n)
-            names[idx] = parts[2]
-        elif parts[0] == "e":
+    for line_no, parts in directives:
+        if parts[0] == "e":
             if len(parts) < 3:
                 raise ParseError(line_no, "attack needs a head and a nonempty tail")
             head = _parse_id(line_no, parts[1], n)
@@ -145,8 +141,6 @@ def parse_setaf(text: str) -> Setaf:
             attacks.append((tail, head))
         else:
             raise ParseError(line_no, f"unknown directive {parts[0]!r}")
-    if n is None:
-        raise ParseError(1, "missing 'p setaf <n>' header")
     return Setaf(tuple(names), tuple(attacks))
 
 

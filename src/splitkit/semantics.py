@@ -5,15 +5,19 @@ combinatorial core: a set of n indexed items and a list of collective attacks
 (tail mask, head index).  Subsets are bitmasks, so the 2^n sweep stays cheap
 at desk scale.  The enumeration guard (default 20, overridable through the
 ``SPLITKIT_GUARD`` environment variable) keeps accidental blowups out.
+
+``split_union`` is the one splitting schema that the ABA, quasi and SETAF
+splittings share: solve the bottom, build and solve one top per bottom
+extension, and take the union of the combined results.
 """
 
 from __future__ import annotations
 
 import os
 from enum import Enum
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence, TypeVar
 
-from splitkit.errors import GuardExceeded
+from splitkit.errors import GuardExceeded, InvalidGuard, UnsupportedSemantics
 
 DEFAULT_GUARD = 20
 
@@ -38,13 +42,12 @@ class Semantics(Enum):
 STB_CLOSED = "stb_closed"
 
 
-def resolve_guard(guard: int | None) -> int:
-    if guard is not None:
-        return guard
-    env = os.environ.get("SPLITKIT_GUARD")
-    if env is not None:
-        return int(env)
-    return DEFAULT_GUARD
+def resolve_guard(guard: int | str | None) -> int:
+    if guard is None:
+        guard = os.environ.get("SPLITKIT_GUARD", DEFAULT_GUARD)
+    if not str(guard).strip().isdecimal():
+        raise InvalidGuard(f"enumeration guard must be a nonnegative integer, got {guard!r}")
+    return int(guard)
 
 
 def check_guard(size: int, guard: int | None) -> None:
@@ -159,3 +162,32 @@ def unmask(mask: int, order: Sequence) -> frozenset:
 def canonical_sets(sets: Iterable[frozenset]) -> tuple[frozenset, ...]:
     """Deterministic family order: lexicographic on the sorted member ids."""
     return tuple(sorted(set(sets), key=lambda s: tuple(sorted(s))))
+
+
+# -- the splitting schema ------------------------------------------------------
+
+F = TypeVar("F")
+
+# Solves one framework, a bottom or a top, under one semantics.
+SubSolver = Callable[[F, Semantics], Iterable[frozenset[int]]]
+
+SPLIT_SEMANTICS = (Semantics.STB, Semantics.ADM, Semantics.COM, Semantics.PREF, Semantics.GRD)
+
+# Builds the top for one bottom extension, with the map lifting each top
+# extension, joined with that bottom extension, into the base's ids.
+TopBuilder = Callable[[frozenset[int]], tuple[F, Callable[[frozenset[int]], frozenset[int]]]]
+
+
+def split_union(
+    semantics: Semantics, bottom: F, top_of: TopBuilder[F], solver: SubSolver[F]
+) -> tuple[frozenset[int], ...]:
+    """Extensions of a split framework: the union over all bottom extensions
+    of the lifted extensions of the top each one leaves."""
+    if semantics not in SPLIT_SEMANTICS:
+        raise UnsupportedSemantics(f"split solving does not cover {semantics.value}")
+    results: set[frozenset[int]] = set()
+    for e1 in solver(bottom, semantics):
+        top, lift = top_of(frozenset(e1))
+        for e2 in solver(top, semantics):
+            results.add(lift(frozenset(e2)))
+    return canonical_sets(results)

@@ -92,17 +92,15 @@ def normalized(sf: Setaf) -> Setaf:
     return Setaf(sf.names, tuple(kept))
 
 
-def induced(sf: Setaf, args: Iterable[int]) -> tuple[Setaf, tuple[int, ...]]:
-    """Sub-framework on an argument subset; returns it densely with the id order."""
+def induced(
+    sf: Setaf, args: Iterable[int], attacks: Iterable[Attack]
+) -> tuple[Setaf, tuple[int, ...]]:
+    """The attacks, which must lie inside ``args``, as a dense sub-framework of
+    ``sf``, with the id order."""
     order = tuple(sorted(set(args)))
-    keep = set(order)
     remap = {a: i for i, a in enumerate(order)}
-    attacks = tuple(
-        (frozenset(remap[t] for t in tail), remap[head])
-        for tail, head in sf.attacks
-        if head in keep and tail <= keep
-    )
-    return Setaf(tuple(sf.names[a] for a in order), attacks), order
+    dense = tuple((frozenset(map(remap.__getitem__, tail)), remap[head]) for tail, head in attacks)
+    return Setaf(tuple(sf.names[a] for a in order), dense), order
 
 
 def attacked_args(

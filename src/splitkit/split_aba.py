@@ -17,8 +17,9 @@ enforcing the guess.  This route is exact for stable semantics.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Iterable, Optional
+from dataclasses import dataclass
+from functools import cached_property
+from typing import Iterable, Optional
 
 from splitkit.aba import (
     Abaf,
@@ -34,17 +35,8 @@ from splitkit.errors import (
     NonAssumptionBodyOut,
     NotAtomClosed,
 )
-from splitkit.semantics import Semantics, canonical_sets
-
-SubSolver = Callable[[Abaf, Semantics], Iterable[frozenset[int]]]
-
-SPLIT_SEMANTICS = (Semantics.STB, Semantics.ADM, Semantics.COM, Semantics.PREF, Semantics.GRD)
-
-
-@dataclass(frozen=True)
-class ModifiedTop:
-    abaf: Abaf
-    fresh: Optional[tuple[int, int]]  # (undecided assumption, its contrary), if added
+from splitkit.semantics import Semantics, SubSolver, split_union
+from splitkit.semantics import canonical_sets  # noqa: F401  perfbench/layers.py rebinds it here
 
 
 @dataclass(eq=False)
@@ -57,21 +49,16 @@ class AbaSplitting:
     a1: frozenset[int]
     a2: frozenset[int]
 
-    _cache: dict = field(init=False, repr=False, default_factory=dict)
-
     def reduct(self, e: Iterable[int]) -> Abaf:
         e = self._check_e(e)
-        key = ("reduct", e)
-        if key not in self._cache:
-            th = theory_closure(self.bottom, e)
-            rules = tuple(
-                Rule(r.head, r.body - th)
-                for r in self.r2
-                if r.body & self.s <= th
-            )
-            contrary = {a: self.base.contrary[a] for a in self.a2}
-            self._cache[key] = Abaf(self.base.names, rules, self.a2, contrary)
-        return self._cache[key]
+        th = theory_closure(self.bottom, e)
+        rules = tuple(
+            Rule(r.head, r.body - th)
+            for r in self.r2
+            if r.body & self.s <= th
+        )
+        contrary = {a: self.base.contrary[a] for a in self.a2}
+        return Abaf(self.base.names, rules, self.a2, contrary)
 
     def undecided(self, e: Iterable[int]) -> tuple[frozenset[int], frozenset[int]]:
         return undecided_theory(self.bottom, self._check_e(e))
@@ -96,43 +83,38 @@ class AbaSplitting:
         )
         return blocked | frozenset(self.base.contrary[a] for a in e)
 
-    def modification(self, e: Iterable[int]) -> ModifiedTop:
+    def modification(self, e: Iterable[int]) -> Abaf:
+        """The reduct, plus the rules lost only to undecided bodies, each
+        guarded by one fresh self-attacking assumption ``_u``."""
         e = self._check_e(e)
-        key = ("mod", e)
-        if key not in self._cache:
-            red = self.reduct(e)
-            ua, ut = self.undecided(e)
-            if not ua:
-                self._cache[key] = ModifiedTop(red, None)
-            else:
-                inc = self.incompatible(e)
-                names, xu, cu = _with_fresh_pair(self.base.names, "_u", "_cu")
-                rules = list(red.rules)
-                rules.append(Rule(cu, frozenset({xu})))
-                for r in self.r2:
-                    if not r.body & inc and r.body & ut:
-                        rules.append(Rule(r.head, (r.body - self.s) | {xu}))
-                contrary = {a: self.base.contrary[a] for a in self.a2}
-                contrary[xu] = cu
-                top = Abaf(names, tuple(rules), self.a2 | {xu}, contrary)
-                self._cache[key] = ModifiedTop(top, (xu, cu))
-        return self._cache[key]
+        red = self.reduct(e)
+        ua, ut = self.undecided(e)
+        if not ua:
+            return red
+        inc = self.incompatible(e)
+        names, xu, cu = _with_fresh_pair(self.base.names, "_u", "_cu")
+        rules = list(red.rules)
+        rules.append(Rule(cu, frozenset({xu})))
+        for r in self.r2:
+            if not r.body & inc and r.body & ut:
+                rules.append(Rule(r.head, (r.body - self.s) | {xu}))
+        contrary = {a: self.base.contrary[a] for a in self.a2}
+        contrary[xu] = cu
+        return Abaf(names, tuple(rules), self.a2 | {xu}, contrary)
 
     def solve(
         self,
         semantics: Semantics,
         guard: Optional[int] = None,
-        sub_solver: Optional[SubSolver] = None,
+        sub_solver: Optional[SubSolver[Abaf]] = None,
     ) -> tuple[frozenset[int], ...]:
-        if semantics not in SPLIT_SEMANTICS:
-            raise ValueError(f"split solving does not cover {semantics.value}")
-        solver = sub_solver or (lambda f, s: enumerate_extensions(f, s, guard))
-        results: set[frozenset[int]] = set()
-        for e1 in solver(self.bottom, semantics):
-            top = self.modification(e1).abaf
-            for e2 in solver(top, semantics):
-                results.add(frozenset(e1) | (frozenset(e2) & self.a2))
-        return canonical_sets(results)
+        def top_of(e1: frozenset[int]):
+            return self.modification(e1), lambda e2: e1 | (e2 & self.a2)
+
+        return split_union(
+            semantics, self.bottom, top_of,
+            sub_solver or (lambda f, s: enumerate_extensions(f, s, guard)),
+        )
 
     def _check_e(self, e: Iterable[int]) -> frozenset[int]:
         s = frozenset(e)
@@ -186,24 +168,12 @@ def undecided_theory(d1: Abaf, e: Iterable[int]) -> tuple[frozenset[int], frozen
     return ua, ut
 
 
-def reduct(sp: AbaSplitting, e: Iterable[int]) -> Abaf:
-    return sp.reduct(e)
-
-
-def incompatible_sentences(sp: AbaSplitting, e: Iterable[int]) -> frozenset[int]:
-    return sp.incompatible(e)
-
-
-def modification(sp: AbaSplitting, e: Iterable[int]) -> ModifiedTop:
-    return sp.modification(e)
-
-
 def split_solve(
     abaf: Abaf,
     sentence_set: Iterable[int],
     semantics: Semantics,
     guard: Optional[int] = None,
-    sub_solver: Optional[SubSolver] = None,
+    sub_solver: Optional[SubSolver[Abaf]] = None,
 ) -> tuple[frozenset[int], ...]:
     return make_splitting(abaf, sentence_set).solve(semantics, guard, sub_solver)
 
@@ -223,39 +193,34 @@ class QuasiSplitting:
     a1: frozenset[int]
     a2: frozenset[int]
 
-    _cache: dict = field(init=False, repr=False, default_factory=dict)
-
     @property
     def k(self) -> int:
         return len(self.vulnerabilities)
 
+    @cached_property
     def expanded(self) -> tuple[Abaf, dict[int, int]]:
         """The bottom with one choice marker per vulnerability."""
-        if "expanded" not in self._cache:
-            names = list(self.base.names)
-            taken = set(names)
-            marker_of: dict[int, int] = {}
-            marker_contrary: dict[int, int] = {}
-            for b in sorted(self.vulnerabilities):
-                m_name = _fresh(taken, f"{self.base.names[b]}'")
-                marker_of[b] = len(names)
-                names.append(m_name)
-                c_name = _fresh(taken, f"c_{m_name}")
-                marker_contrary[b] = len(names)
-                names.append(c_name)
-            rules = [Rule(r.head, r.body & self.l1) for r in self.r1]
-            for b in sorted(self.vulnerabilities):
-                rules.append(Rule(self.base.contrary[b], frozenset({marker_of[b]})))
-                rules.append(Rule(marker_contrary[b], frozenset({b})))
-            assumptions = self.a1 | set(marker_of.values())
-            contrary = {a: self.base.contrary[a] for a in self.a1}
-            for b, m in marker_of.items():
-                contrary[m] = marker_contrary[b]
-            self._cache["expanded"] = (
-                Abaf(tuple(names), tuple(rules), frozenset(assumptions), contrary),
-                marker_of,
-            )
-        return self._cache["expanded"]
+        names = list(self.base.names)
+        taken = set(names)
+        marker_of: dict[int, int] = {}
+        marker_contrary: dict[int, int] = {}
+        for b in sorted(self.vulnerabilities):
+            m_name = _fresh(taken, f"{self.base.names[b]}'")
+            marker_of[b] = len(names)
+            names.append(m_name)
+            c_name = _fresh(taken, f"c_{m_name}")
+            marker_contrary[b] = len(names)
+            names.append(c_name)
+        rules = [Rule(r.head, r.body & self.l1) for r in self.r1]
+        for b in sorted(self.vulnerabilities):
+            rules.append(Rule(self.base.contrary[b], frozenset({marker_of[b]})))
+            rules.append(Rule(marker_contrary[b], frozenset({b})))
+        assumptions = self.a1 | set(marker_of.values())
+        contrary = {a: self.base.contrary[a] for a in self.a1}
+        for b, m in marker_of.items():
+            contrary[m] = marker_contrary[b]
+        exp = Abaf(tuple(names), tuple(rules), frozenset(assumptions), contrary)
+        return exp, marker_of
 
     def top_for(self, e1: Iterable[int]) -> Abaf:
         """Reduct of the top w.r.t. a bottom choice, plus the enforcing rules.
@@ -266,48 +231,44 @@ class QuasiSplitting:
         the result non-flat); rejecting it adds a loop rule on it.
         """
         e1 = frozenset(e1)
-        key = ("top", e1)
-        if key not in self._cache:
-            exp, marker_of = self.expanded()
-            if not e1 <= exp.assumptions:
-                raise ValueError("expected an extension of the expanded bottom")
-            th = theory_closure(exp, e1)
-            # Only splitting-set atoms are settled by the bottom choice.  A
-            # guessed contrary lives in the top's own vocabulary and must be
-            # derived up there for real, so it stays in the bodies; deleting
-            # it would let a circular rule confirm its own guess.
-            rules = [
-                Rule(r.head, r.body - (th & self.s))
-                for r in self.r2
-                if r.body & self.s <= th
-            ]
-            for b in sorted(e1 & self.vulnerabilities):
-                rules.append(Rule(b, frozenset()))
-            for b in sorted(self.vulnerabilities):
-                if marker_of[b] in e1:
-                    rules.append(Rule(self.base.contrary[b], frozenset({b})))
-            contrary = {a: self.base.contrary[a] for a in self.a2}
-            self._cache[key] = Abaf(self.base.names, tuple(rules), self.a2, contrary)
-        return self._cache[key]
+        exp, marker_of = self.expanded
+        if not e1 <= exp.assumptions:
+            raise ValueError("expected an extension of the expanded bottom")
+        th = theory_closure(exp, e1)
+        # Only splitting-set atoms are settled by the bottom choice.  A
+        # guessed contrary lives in the top's own vocabulary and must be
+        # derived up there for real, so it stays in the bodies; deleting
+        # it would let a circular rule confirm its own guess.
+        rules = [
+            Rule(r.head, r.body - (th & self.s))
+            for r in self.r2
+            if r.body & self.s <= th
+        ]
+        for b in sorted(e1 & self.vulnerabilities):
+            rules.append(Rule(b, frozenset()))
+        for b in sorted(self.vulnerabilities):
+            if marker_of[b] in e1:
+                rules.append(Rule(self.base.contrary[b], frozenset({b})))
+        contrary = {a: self.base.contrary[a] for a in self.a2}
+        return Abaf(self.base.names, tuple(rules), self.a2, contrary)
 
     def solve(
-        self, guard: Optional[int] = None, sub_solver: Optional[SubSolver] = None
+        self, guard: Optional[int] = None, sub_solver: Optional[SubSolver[Abaf]] = None
     ) -> tuple[frozenset[int], ...]:
         """Stable extensions of the base framework, via the quasi-splitting."""
-        exp, _ = self.expanded()
-        solver = sub_solver or (lambda f, s: enumerate_extensions(f, s, guard))
-        results: set[frozenset[int]] = set()
-        for e1 in solver(exp, Semantics.STB):
-            top = self.top_for(e1)
-            for e2 in solver(top, Semantics.STB):
-                results.add((frozenset(e1) & self.s) | (frozenset(e2) & self.a2))
-        return canonical_sets(results)
+        def top_of(e1: frozenset[int]):
+            return self.top_for(e1), lambda e2: (e1 & self.s) | (e2 & self.a2)
+
+        return split_union(
+            Semantics.STB, self.expanded[0], top_of,
+            sub_solver or (lambda f, s: enumerate_extensions(f, s, guard)),
+        )
 
     def witness_bottom(self, extension: Iterable[int]) -> frozenset[int]:
         """Bottom choice recovering a stable extension of the base framework:
         keep its bottom assumptions and mark every rejected vulnerability."""
         ext = frozenset(extension)
-        _, marker_of = self.expanded()
+        _, marker_of = self.expanded
         markers = frozenset(marker_of[b] for b in self.vulnerabilities - ext)
         return (ext & self.a1) | markers
 
@@ -345,19 +306,11 @@ def make_quasi_splitting(abaf: Abaf, sentence_set: Iterable[int]) -> QuasiSplitt
     )
 
 
-def bottom_expansion(q: QuasiSplitting) -> Abaf:
-    return q.expanded()[0]
-
-
-def top_constrained(q: QuasiSplitting, e1: Iterable[int]) -> Abaf:
-    return q.top_for(e1)
-
-
 def param_split_solve(
     abaf: Abaf,
     sentence_set: Iterable[int],
     guard: Optional[int] = None,
-    sub_solver: Optional[SubSolver] = None,
+    sub_solver: Optional[SubSolver[Abaf]] = None,
 ) -> tuple[frozenset[int], ...]:
     return make_quasi_splitting(abaf, sentence_set).solve(guard, sub_solver)
 

@@ -10,11 +10,13 @@ bottom and top extensions yields exactly the extensions of the whole SETAF.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Iterable, Optional
+from dataclasses import dataclass
+from functools import cached_property
+from typing import Iterable, Optional
 
 from splitkit.errors import InvalidSplit
-from splitkit.semantics import Semantics, canonical_sets
+from splitkit.semantics import Semantics, SubSolver, split_union
+from splitkit.semantics import canonical_sets  # noqa: F401  perfbench/layers.py rebinds it here
 from splitkit.setaf import (
     Attack,
     Setaf,
@@ -22,10 +24,6 @@ from splitkit.setaf import (
     enumerate_extensions,
     induced,
 )
-
-SubSolver = Callable[[Setaf, Semantics], Iterable[frozenset[int]]]
-
-SPLIT_SEMANTICS = (Semantics.STB, Semantics.ADM, Semantics.COM, Semantics.PREF, Semantics.GRD)
 
 
 @dataclass(eq=False)
@@ -37,71 +35,47 @@ class SetafSplitting:
     r2: tuple[Attack, ...]
     r3: tuple[Attack, ...]
 
-    _cache: dict = field(init=False, repr=False, default_factory=dict)
-
-    # -- bottom -------------------------------------------------------------
-
+    @cached_property
     def bottom(self) -> tuple[Setaf, tuple[int, ...]]:
-        if "bottom" not in self._cache:
-            self._cache["bottom"] = induced(self.base, self.a1)
-        return self._cache["bottom"]
-
-    def bottom_extensions(
-        self, semantics: Semantics, guard: Optional[int] = None,
-        sub_solver: Optional[SubSolver] = None,
-    ) -> tuple[frozenset[int], ...]:
-        sub, order = self.bottom()
-        solver = sub_solver or (lambda f, s: enumerate_extensions(f, s, guard))
-        return canonical_sets(
-            frozenset(order[i] for i in ext) for ext in solver(sub, semantics)
-        )
+        """The bottom, densely renumbered, with its id order."""
+        return induced(self.base, self.a1, self.r1)
 
     # -- reduct / modification ----------------------------------------------
 
-    def _reduct_parts(self, e1: frozenset[int]) -> tuple[frozenset[int], tuple[Attack, ...]]:
-        key = ("reduct", e1)
-        if key not in self._cache:
-            defeated = frozenset(h for t, h in self.r3 if t <= e1)
-            args = self.a2 - defeated
-            attacks: list[Attack] = [
-                (t, h) for t, h in self.r2 if t <= args and h in args
-            ]
-            for t, h in self.r3:
-                rest = t - self.a1
-                if rest and t & self.a1 <= e1 and not t & defeated and h in args:
-                    attacks.append((rest, h))
-            self._cache[key] = (args, tuple(attacks))
-        return self._cache[key]
+    def _top(self, e1: frozenset[int], modified: bool = True) -> tuple[Setaf, tuple[int, ...]]:
+        """The reduct of the top w.r.t. ``e1``, or its modification, densely
+        renumbered with its id order."""
+        defeated = frozenset(h for t, h in self.r3 if t <= e1)
+        args = self.a2 - defeated
+        attacks = list(self.r2)
+        if defeated:
+            attacks = [(t, h) for t, h in attacks if h in args and t <= args]
+        for t, h in self.r3:
+            rest = t - self.a1
+            if rest and t & self.a1 <= e1 and not t & defeated and h in args:
+                attacks.append((rest, h))
+        if modified:
+            undecided = self._undecided(e1, defeated)
+            attacks += [((t & args) | {h}, h) for t, h in undecided if h in args]
+        return induced(self.base, args, attacks)
 
     def reduct(self, e1: Iterable[int]) -> Setaf:
-        args, attacks = self._reduct_parts(self._check_e1(e1))
-        return _dense(self.base, args, attacks)[0]
+        return self._top(self._check_e1(e1), modified=False)[0]
+
+    def modification(self, e1: Iterable[int]) -> Setaf:
+        return self._top(self._check_e1(e1))[0]
 
     def undecided_links(self, e1: Iterable[int]) -> tuple[Attack, ...]:
         e1 = self._check_e1(e1)
-        plus_r1r3 = attacked_args(self.base, e1, self.r1 + self.r3)
-        range_r1 = e1 | attacked_args(self.base, e1, self.r1)
-        return tuple(
-            (t, h)
-            for t, h in self.r3
-            if not t & plus_r1r3 and t & (self.a1 - range_r1)
-        )
+        return self._undecided(e1, frozenset(h for t, h in self.r3 if t <= e1))
 
-    def _modification_parts(self, e1: frozenset[int]) -> tuple[frozenset[int], tuple[Attack, ...]]:
-        key = ("mod", e1)
-        if key not in self._cache:
-            args, attacks = self._reduct_parts(e1)
-            extra = [
-                ((t & args) | {h}, h)
-                for t, h in self.undecided_links(e1)
-                if h in args
-            ]
-            self._cache[key] = (args, attacks + tuple(extra))
-        return self._cache[key]
-
-    def modification(self, e1: Iterable[int]) -> Setaf:
-        args, attacks = self._modification_parts(self._check_e1(e1))
-        return _dense(self.base, args, attacks)[0]
+    def _undecided(self, e1: frozenset[int], defeated: frozenset[int]) -> tuple[Attack, ...]:
+        """Links neither attacked by ``e1`` nor decided in the bottom: their
+        tails meet bottom arguments outside the range of ``e1``."""
+        plus_r1 = attacked_args(self.base, e1, self.r1)
+        open_a1 = self.a1 - e1 - plus_r1
+        attacked = plus_r1 | defeated
+        return tuple((t, h) for t, h in self.r3 if t & open_a1 and not t & attacked)
 
     # -- the incremental solver ----------------------------------------------
 
@@ -109,33 +83,25 @@ class SetafSplitting:
         self,
         semantics: Semantics,
         guard: Optional[int] = None,
-        sub_solver: Optional[SubSolver] = None,
+        sub_solver: Optional[SubSolver[Setaf]] = None,
     ) -> tuple[frozenset[int], ...]:
-        if semantics not in SPLIT_SEMANTICS:
-            raise ValueError(f"split solving does not cover {semantics.value}")
-        solver = sub_solver or (lambda f, s: enumerate_extensions(f, s, guard))
-        results: set[frozenset[int]] = set()
-        for e1 in self.bottom_extensions(semantics, guard, sub_solver):
-            args, attacks = self._modification_parts(e1)
-            top, order = _dense(self.base, args, attacks)
-            for ext in solver(top, semantics):
-                results.add(e1 | frozenset(order[i] for i in ext))
-        return canonical_sets(results)
+        sub, order = self.bottom
+
+        def top_of(dense_e1: frozenset[int]):
+            e1 = frozenset(order[i] for i in dense_e1)
+            top, top_order = self._top(e1)
+            return top, lambda e2: e1 | frozenset(top_order[i] for i in e2)
+
+        return split_union(
+            semantics, sub, top_of,
+            sub_solver or (lambda f, s: enumerate_extensions(f, s, guard)),
+        )
 
     def _check_e1(self, e1: Iterable[int]) -> frozenset[int]:
         s = frozenset(e1)
         if not s <= self.a1:
             raise ValueError("bottom extension must be a subset of A1")
         return s
-
-
-def _dense(base: Setaf, args: frozenset[int], attacks: tuple[Attack, ...]) -> tuple[Setaf, tuple[int, ...]]:
-    order = tuple(sorted(args))
-    remap = {a: i for i, a in enumerate(order)}
-    dense_attacks = tuple(
-        (frozenset(remap[t] for t in tail), remap[head]) for tail, head in attacks
-    )
-    return Setaf(tuple(base.names[a] for a in order), dense_attacks), order
 
 
 def make_splitting(sf: Setaf, a1: Iterable[int]) -> SetafSplitting:
@@ -158,23 +124,11 @@ def make_splitting(sf: Setaf, a1: Iterable[int]) -> SetafSplitting:
     return SetafSplitting(sf, a1, a2, tuple(r1), tuple(r2), tuple(r3))
 
 
-def reduct(sp: SetafSplitting, e1: Iterable[int]) -> Setaf:
-    return sp.reduct(e1)
-
-
-def undecided_links(sp: SetafSplitting, e1: Iterable[int]) -> tuple[Attack, ...]:
-    return sp.undecided_links(e1)
-
-
-def modification(sp: SetafSplitting, e1: Iterable[int]) -> Setaf:
-    return sp.modification(e1)
-
-
 def split_solve(
     sf: Setaf,
     a1: Iterable[int],
     semantics: Semantics,
     guard: Optional[int] = None,
-    sub_solver: Optional[SubSolver] = None,
+    sub_solver: Optional[SubSolver[Setaf]] = None,
 ) -> tuple[frozenset[int], ...]:
     return make_splitting(sf, a1).solve(semantics, guard, sub_solver)

@@ -231,10 +231,10 @@ def test_flat_grounded_is_singleton():
 
 def test_theory_closure_in_expanded_quasi_bottom():
     from helpers import abaf_vuln
-    from splitkit.split_aba import bottom_expansion, make_quasi_splitting
+    from splitkit.split_aba import make_quasi_splitting
 
     d = abaf_vuln()
     q = make_quasi_splitting(d, ids(d, "a", "a_c", "d", "d_c", "p"))
-    exp = bottom_expansion(q)
+    exp, _ = q.expanded
     th = theory_closure(exp, ids(exp, "b"))
     assert nm(exp, th) == {"b", "d_c", "c_b'", "p", "a_c"}

@@ -22,13 +22,13 @@ from splitkit.aba import (
 from splitkit.errors import NonAssumptionBodyOut, NotAtomClosed
 from splitkit.finder import (
     balanced_candidates,
-    condensation,
     dependency_graph,
     pair_contracted,
     setaf_splitting_bottoms,
     splitting_sets,
 )
 from splitkit.generate import random_abaf, random_setaf
+from splitkit.graphs import condense
 from splitkit.instantiate import aba_to_setaf, setaf_to_aba
 from splitkit.semantics import Semantics
 from splitkit.setaf import (
@@ -107,7 +107,7 @@ def test_c03_aba_splitting_worked_example():
     }
     ua, ut = sp.undecided(e)
     assert nm(d, ua) == {"b"} and nm(d, ut) == {"b", "b_c"}
-    top = sp.modification(e).abaf
+    top = sp.modification(e)
     assert top.rules_by_name() == {
         ("v_c", frozenset()),
         ("x_c", frozenset({"w"})),
@@ -127,7 +127,7 @@ def test_c04_parametrised_worked_example():
     assert fam(d, aba_ext(d, Semantics.STB)) == {frozenset("bc"), frozenset("acd")}
     q = make_quasi_splitting(d, ids(d, "a", "a_c", "d", "d_c", "p"))
     assert nm(d, q.vulnerabilities) == {"b"} and q.k == 1
-    exp, _ = q.expanded()
+    exp, _ = q.expanded
     stb1 = aba_ext(exp, Semantics.STB)
     assert fam(exp, stb1) == {frozenset({"b"}), frozenset({"b'", "a", "d"})}
     tops = {
@@ -158,7 +158,7 @@ def test_c05_aba_and_setaf_splittings_correspond():
     for s in sets:
         sp = make_splitting(d, s)  # validates
         assert nm(d, sp.a1) == {"a", "b"}
-        top = sp.modification(e1).abaf
+        top = sp.modification(e1)
         assert fam(top, aba_ext(top, Semantics.PREF)) == {frozenset()}
     sp_sf = make_setaf_splitting(sf, ids(sf, "a", "b"))
     assert {(nm(sf, t), sf.names[h]) for t, h in sp_sf.r3} == {
@@ -173,7 +173,7 @@ def test_c05_aba_and_setaf_splittings_correspond():
 def test_c06_dependency_graph_and_balanced_finder():
     start = time.time()
     d = abaf7()
-    cond = condensation(dependency_graph(d))
+    cond = condense(dependency_graph(d))
     assert len(cond.sccs) == 8
     assert {frozenset(nm(d, c)) for c in cond.sccs} == (
         {frozenset({a, f"{a}_c"}) for a in "abvwxyz"} | {frozenset({"p"})}
@@ -195,7 +195,7 @@ def test_c07_setaf_splitting_theorem_suite(suite7):
         fams = {sem: setaf_ext(sf, sem) for sem in SPLIT_SEMS}
         for a1 in setaf_splitting_bottoms(sf, nontrivial=True):
             sp = make_setaf_splitting(sf, a1)
-            sub, order = sp.bottom()
+            sub, order = sp.bottom
             back = {a: i for i, a in enumerate(order)}
             checked += 1
             for sem in SPLIT_SEMS:
@@ -231,11 +231,11 @@ def test_c08_aba_splitting_theorem_suite(suite8):
                 for e in fams[sem]:
                     e1 = e & sp.a1
                     assert aba_check(sp.bottom, e1, sem)
-                    assert aba_check(sp.modification(e1).abaf, e & sp.a2, sem)
+                    assert aba_check(sp.modification(e1), e & sp.a2, sem)
             # conflict-free combination, both directions (sampled)
             cf_bottom = aba_ext(sp.bottom, Semantics.CF)
             for e1 in cf_bottom[:10]:
-                top = sp.modification(e1).abaf
+                top = sp.modification(e1)
                 for e2 in aba_ext(top, Semantics.CF)[:10]:
                     assert aba_check(d, e1 | (e2 & sp.a2), Semantics.CF)
             for e in cf_whole[:20]:
@@ -266,7 +266,7 @@ def test_c09_parametrised_splitting_suite(suite9):
                 continue
             checked += 1
             assert q.solve() == direct
-            exp, _ = q.expanded()
+            exp, _ = q.expanded
             stb_exp = aba_ext(exp, Semantics.STB)
             for e in direct:
                 e1 = q.witness_bottom(e)

@@ -90,7 +90,8 @@ def test_split_solve_with_explicit_set(tmp_path, capsys):
     path = write(tmp_path, "d.aba", emit_aba(d))
     atoms = [d.atom_id(n) + 1 for n in ("a", "b", "a_c", "b_c", "p")]
     split = write(tmp_path, "s.txt", "\n".join(map(str, atoms)) + "\n")
-    assert main(["split-solve", path, "--semantics", "prf", "--split-set", split]) == 0
+    assert main(["solve", path, "--semantics", "prf", "--mode", "split",
+                 "--split-set", split]) == 0
     assert capsys.readouterr().out.splitlines() == ["E a w z"]
 
 
@@ -98,7 +99,7 @@ def test_param_split_command(tmp_path, capsys):
     from helpers import abaf_vuln
 
     path = write(tmp_path, "q.aba", emit_aba(abaf_vuln()))
-    assert main(["param-split", path]) == 0
+    assert main(["solve", path, "--semantics", "stb", "--mode", "param"]) == 0
     assert capsys.readouterr().out.splitlines() == ["E a c d", "E b c"]
 
 
@@ -107,7 +108,8 @@ def test_find_split_pipes_into_split_solve(tmp_path, capsys):
     assert main(["find-split", path]) == 0
     found = capsys.readouterr().out
     split = write(tmp_path, "s.txt", found)
-    assert main(["split-solve", path, "--semantics", "grd", "--split-set", split]) == 0
+    assert main(["solve", path, "--semantics", "grd", "--mode", "split",
+                 "--split-set", split]) == 0
     via_split = capsys.readouterr().out
     assert main(["solve", path, "--semantics", "grd"]) == 0
     assert via_split == capsys.readouterr().out
@@ -168,11 +170,23 @@ def test_check_command_agrees(capsys):
     capsys.readouterr()
 
 
-def test_exit_codes(tmp_path, capsys):
+def test_exit_codes(tmp_path, capsys, monkeypatch):
     bad = write(tmp_path, "bad.aba", "p aba 1\nwhat\n")
     assert main(["solve", bad, "--semantics", "prf"]) == 2
     invalid = write(tmp_path, "inv.aba", "p aba 2\na 1\n")
     assert main(["solve", invalid, "--semantics", "prf"]) == 3
+    for header in ("p aba x", "p aba -1"):
+        assert main(["solve", write(tmp_path, "h.aba", header + "\n"), "--semantics", "prf"]) == 2
+    for bare in ("name", "name 1", "name 1 a"):
+        assert main(["solve", write(tmp_path, "b.aba", f"p aba 1\n{bare}\n"), "--semantics", "prf"]) == 2
+    unnamed = write(tmp_path, "unnamed.setaf", "p setaf 1\n# name 1\n")
+    assert main(["solve", unnamed, "--format", "setaf", "--semantics", "prf"]) == 2
+    assert main(["gen", "--seed", "3", "--output", str(tmp_path / "d.aba")]) == 0
+    d = str(tmp_path / "d.aba")
+    assert main(["solve", d, "--semantics", "cf", "--mode", "split"]) == 3
+    assert main(["check", "--semantics", "cf"]) == 3
+    monkeypatch.setenv("SPLITKIT_GUARD", "abc")
+    assert main(["solve", d, "--semantics", "prf"]) == 3
     with pytest.raises(SystemExit) as err:
         main(["solve", "--no-such-flag"])
     assert err.value.code == 1

@@ -5,7 +5,6 @@ from splitkit.aba import Abaf
 from splitkit.errors import DegenerateSplit, NonAssumptionBodyOut, NotAtomClosed
 from splitkit.finder import (
     balanced_candidates,
-    condensation,
     dependency_graph,
     find_balanced_splitting,
     find_quasi_splitting,
@@ -15,6 +14,7 @@ from splitkit.finder import (
     splitting_sets,
 )
 from splitkit.generate import random_abaf
+from splitkit.graphs import condense
 from splitkit.setaf import Setaf
 from splitkit.split_aba import make_quasi_splitting, make_splitting
 from splitkit.split_setaf import make_splitting as make_setaf_splitting
@@ -47,7 +47,7 @@ def test_dependency_graph_rule_free_and_facts():
 
 def test_condensation_running_example():
     d = abaf7()
-    cond = condensation(dependency_graph(d))
+    cond = condense(dependency_graph(d))
     comps = {frozenset(nm(d, c)) for c in cond.sccs}
     expected = {frozenset({a, f"{a}_c"}) for a in "abvwxyz"} | {frozenset({"p"})}
     assert comps == expected and len(cond.sccs) == 8
@@ -57,7 +57,7 @@ def test_condensation_acyclic_input_gives_singletons():
     d = Abaf.from_names(
         assumptions={"a": "ca"}, rules=[("q", ["a"]), ("r", ["a"])], extra_atoms=["q", "r"]
     )
-    cond = condensation(dependency_graph(d))
+    cond = condense(dependency_graph(d))
     assert sorted(len(c) for c in cond.sccs) == [1, 1, 2]
 
 
@@ -66,7 +66,7 @@ def test_condensation_merges_mutual_attackers():
         assumptions={"a": "ca", "b": "cb"},
         rules=[("cb", ["a"]), ("ca", ["b"])],
     )
-    cond = condensation(dependency_graph(d))
+    cond = condense(dependency_graph(d))
     assert len(cond.sccs) == 1 and len(cond.sccs[0]) == 4
 
 

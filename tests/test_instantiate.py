@@ -113,14 +113,15 @@ def test_canonical_framework_realizes_every_setaf_bottom():
 
 
 def test_canonical_framework_condensations_coincide_on_assumptions():
-    from splitkit.finder import condensation, dependency_graph
+    from splitkit.finder import dependency_graph
+    from splitkit.graphs import condense
     from splitkit.setaf import primal_graph
 
     for seed in range(15):
         sf = random_setaf(seed, max_args=7)
         d = setaf_to_aba(sf)
-        dep = condensation(dependency_graph(d))
-        pri = condensation(primal_graph(sf))
+        dep = condense(dependency_graph(d))
+        pri = condense(primal_graph(sf))
         dep_parts = {
             frozenset(d.names[a] for a in c if a in d.assumptions) for c in dep.sccs
         }

@@ -103,7 +103,7 @@ def test_conflict_free_combination_aba(d):
     for s in splitting_sets(d, nontrivial=True)[:6]:
         sp = make_splitting(d, s)
         for e1 in aba_extensions(sp.bottom, Semantics.CF)[:8]:
-            top = sp.modification(e1).abaf
+            top = sp.modification(e1)
             for e2 in aba_extensions(top, Semantics.CF)[:8]:
                 assert check_extension(d, e1 | (e2 & sp.a2), Semantics.CF)
         for e in whole_cf[:16]:

@@ -6,12 +6,10 @@ from splitkit.errors import HeadInBodyOut, NonAssumptionBodyOut, NotAtomClosed
 from splitkit.generate import random_abaf
 from splitkit.semantics import Semantics
 from splitkit.split_aba import (
-    bottom_expansion,
     make_quasi_splitting,
     make_splitting,
     param_split_solve,
     split_solve,
-    top_constrained,
     undecided_theory,
 )
 
@@ -153,8 +151,8 @@ def test_incompatible_keeps_facts_and_mixed_derivations():
     sp = make_splitting(d, s)
     inc = sp.incompatible(frozenset())
     assert "c_a1" not in nm(d, inc)
-    mt = sp.modification(frozenset())
-    assert ("c_a2", frozenset({"_u"})) in mt.abaf.rules_by_name()
+    top = sp.modification(frozenset())
+    assert ("c_a2", frozenset({"_u"})) in top.rules_by_name()
     for sem in SEMS:
         assert split_solve(d, s, sem) == enumerate_extensions(d, sem)
 
@@ -162,16 +160,16 @@ def test_incompatible_keeps_facts_and_mixed_derivations():
 def test_modification_worked_example():
     d = abaf7()
     sp = make_splitting(d, s_ex(d))
-    mt = sp.modification(ids(d, "a"))
-    assert mt.fresh is not None
-    assert mt.abaf.rules_by_name() == {
+    top = sp.modification(ids(d, "a"))
+    assert top.assumptions - sp.a2 == ids(top, "_u")  # one fresh assumption added
+    assert top.rules_by_name() == {
         ("v_c", frozenset()),
         ("x_c", frozenset({"w"})),
         ("y_c", frozenset({"x"})),
         ("y_c", frozenset({"z", "_u"})),
         ("_cu", frozenset({"_u"})),
     }
-    assert fam(mt.abaf, enumerate_extensions(mt.abaf, Semantics.PREF)) == {
+    assert fam(top, enumerate_extensions(top, Semantics.PREF)) == {
         frozenset({"w", "z"})
     }
 
@@ -179,8 +177,8 @@ def test_modification_worked_example():
 def test_modification_absent_without_undecided_assumptions():
     d = abaf7()
     sp = make_splitting(d, s_ex(d))
-    mt = sp.modification(ids(d, "a", "b"))  # decides both bottom assumptions
-    assert mt.fresh is None and mt.abaf == sp.reduct(ids(d, "a", "b"))
+    top = sp.modification(ids(d, "a", "b"))  # decides both bottom assumptions
+    assert top == sp.reduct(ids(d, "a", "b"))  # so no fresh assumption is added
 
 
 def test_modification_guard_blocks_incompatible_bodies():
@@ -188,8 +186,8 @@ def test_modification_guard_blocks_incompatible_bodies():
     sp = make_splitting(d, s_ex(d))
     # with nothing chosen, b_c stays undecided but a_c can never hold, so the
     # rule y_c <- b_c, z is re-added while nothing guarded by a_c would be
-    mt = sp.modification(frozenset())
-    assert ("y_c", frozenset({"z", "_u"})) in mt.abaf.rules_by_name()
+    top = sp.modification(frozenset())
+    assert ("y_c", frozenset({"z", "_u"})) in top.rules_by_name()
 
 
 def test_modification_size_bound_and_single_fresh_assumption():
@@ -200,10 +198,10 @@ def test_modification_size_bound_and_single_fresh_assumption():
         for s in splitting_sets(d, nontrivial=True):
             sp = make_splitting(d, s)
             for e1 in enumerate_extensions(sp.bottom, Semantics.COM):
-                mt = sp.modification(e1)
+                top = sp.modification(e1)
                 red = sp.reduct(e1)
-                assert len(mt.abaf.rules) <= len(red.rules) + len(sp.r2) + 1
-                assert len(mt.abaf.assumptions - red.assumptions) <= 1
+                assert len(top.rules) <= len(red.rules) + len(sp.r2) + 1
+                assert len(top.assumptions - red.assumptions) <= 1
 
 
 def test_split_solve_worked_example():
@@ -273,7 +271,7 @@ def test_quasi_splitting_errors():
 def test_bottom_expansion_worked_example():
     d = abaf_vuln()
     q = make_quasi_splitting(d, s_q(d))
-    exp = bottom_expansion(q)
+    exp, _ = q.expanded
     assert exp.rules_by_name() == {
         ("d_c", frozenset({"b"})),
         ("a_c", frozenset({"p"})),  # the unattacked outside assumption c is dropped
@@ -290,7 +288,7 @@ def test_bottom_expansion_worked_example():
 def test_bottom_expansion_without_vulnerabilities_adds_nothing():
     d = abaf7()
     q = make_quasi_splitting(d, s_ex(d))
-    exp = bottom_expansion(q)
+    exp, _ = q.expanded
     assert exp.names == d.names
     assert exp.rules_by_name() == q.bottom.rules_by_name()
 
@@ -298,11 +296,11 @@ def test_bottom_expansion_without_vulnerabilities_adds_nothing():
 def test_top_constrained_worked_example():
     d = abaf_vuln()
     q = make_quasi_splitting(d, s_q(d))
-    exp = bottom_expansion(q)
+    exp, _ = q.expanded
     accept_b = ids(exp, "b")
     reject_b = ids(exp, "b'", "a", "d")
-    assert top_constrained(q, accept_b).rules_by_name() == {("b", frozenset())}
-    assert top_constrained(q, reject_b).rules_by_name() == {
+    assert q.top_for(accept_b).rules_by_name() == {("b", frozenset())}
+    assert q.top_for(reject_b).rules_by_name() == {
         ("b_c", frozenset()),
         ("b_c", frozenset({"b"})),
     }
@@ -313,7 +311,7 @@ def test_top_constrained_plain_reduct_without_vulnerabilities():
     q = make_quasi_splitting(d, s_ex(d))
     sp = make_splitting(d, s_ex(d))
     e1 = ids(d, "a")
-    assert top_constrained(q, e1).rules_by_name() == sp.reduct(e1).rules_by_name()
+    assert q.top_for(e1).rules_by_name() == sp.reduct(e1).rules_by_name()
 
 
 def test_param_split_solve_worked_example():
@@ -355,11 +353,11 @@ def test_param_split_equals_oracle_on_random_instances():
 def test_param_split_witness_recovery():
     d = abaf_vuln()
     q = make_quasi_splitting(d, s_q(d))
-    exp = bottom_expansion(q)
+    exp, _ = q.expanded
     for e in enumerate_extensions(d, Semantics.STB):
         e1 = q.witness_bottom(e)
         assert e1 in enumerate_extensions(exp, Semantics.STB)
-        top = top_constrained(q, e1)
+        top = q.top_for(e1)
         assert check_extension(top, e & q.a2, Semantics.STB, nonflat_stable=True)
 
 
@@ -386,8 +384,8 @@ def test_split_regression_mixed_derivations_stay_live():
     s = ids(d, "e", "e_c", "d", "d_c", "u", "u_c", "p")
     sp = make_splitting(d, s)
     assert "p" not in nm(d, sp.incompatible(ids(d, "e")))
-    mt = sp.modification(ids(d, "e"))
-    assert ("q_c", frozenset({"_u"})) in mt.abaf.rules_by_name()
+    top = sp.modification(ids(d, "e"))
+    assert ("q_c", frozenset({"_u"})) in top.rules_by_name()
     for sem in SEMS:
         assert split_solve(d, s, sem) == enumerate_extensions(d, sem)
 
@@ -405,7 +403,7 @@ def test_modification_skips_rules_with_dead_body_atoms():
     ua, ut = sp.undecided(e)
     assert "u" in nm(d, ua) and "r" in nm(d, ut)
     assert "q" in nm(d, sp.incompatible(e))
-    top = sp.modification(e).abaf
+    top = sp.modification(e)
     assert not any(h == "t_c" for h, _ in top.rules_by_name())
     for sem in SEMS:
         assert split_solve(d, s, sem) == enumerate_extensions(d, sem)
@@ -414,12 +412,11 @@ def test_modification_skips_rules_with_dead_body_atoms():
 def test_constrained_top_reports_non_flat():
     from splitkit.aba import validate
     from helpers import abaf_vuln
-    from splitkit.split_aba import bottom_expansion
 
     d = abaf_vuln()
     q = make_quasi_splitting(d, s_q(d))
-    exp = bottom_expansion(q)
-    top = top_constrained(q, ids(exp, "b"))  # adds the fact b <-
+    exp, _ = q.expanded
+    top = q.top_for(ids(exp, "b"))  # adds the fact b <-
     report = validate(top)
     assert not report.flat
     assert [top.names[r.head] for r in report.non_flat_rules] == ["b"]

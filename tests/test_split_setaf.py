@@ -156,7 +156,7 @@ def test_projection_directions_on_random_instances():
         sf = random_setaf(seed, max_args=6, max_attacks=8)
         for a1 in setaf_splitting_bottoms(sf, nontrivial=True):
             sp = make_splitting(sf, a1)
-            sub, order = sp.bottom()
+            sub, order = sp.bottom
             back = {a: i for i, a in enumerate(order)}
             for sem in SEMS:
                 for e in enumerate_extensions(sf, sem):
@@ -177,7 +177,7 @@ def test_conflict_free_combination_both_directions():
 
         for a1 in setaf_splitting_bottoms(sf, nontrivial=True):
             sp = make_splitting(sf, a1)
-            sub, order = sp.bottom()
+            sub, order = sp.bottom
             cf_bottom = [
                 frozenset(order[i] for i in e)
                 for e in enumerate_extensions(sub, Semantics.CF)
