@@ -18,7 +18,6 @@ from typing import Iterable, Mapping, Optional, Sequence
 
 from splitkit.errors import NonFlatError, NotAtomClosed, ValidationError
 from splitkit.semantics import (
-    STB_CLOSED,
     Semantics,
     canonical_sets,
     check_guard,
@@ -76,6 +75,10 @@ class Abaf:
                 deduped.append(r)
         self.rules = tuple(deduped)
         self.flat = not any(r.head in self.assumptions for r in self.rules)
+
+    def __hash__(self) -> int:
+        """Agrees with ``==``, so equal frameworks share a dict entry."""
+        return hash((self.names, self.rules, self.assumptions, frozenset(self.contrary.items())))
 
     # -- small conveniences -------------------------------------------------
 
@@ -330,9 +333,21 @@ def _resolve_closed(abaf: Abaf, nonflat_stable: Optional[bool]) -> bool:
     return (not abaf.flat) if nonflat_stable is None else bool(nonflat_stable)
 
 
-def extension_families(abaf: Abaf, guard: Optional[int] = None) -> dict:
-    """All six families at once (masks resolved to assumption sets), cached."""
-    if "families" not in abaf._cache:
+def enumerate_extensions(
+    abaf: Abaf,
+    semantics: Semantics,
+    guard: Optional[int] = None,
+    nonflat_stable: Optional[bool] = None,
+) -> tuple[frozenset[int], ...]:
+    """The family of one semantics (masks resolved to assumption sets), cached."""
+    closed = _resolve_closed(abaf, nonflat_stable)
+    if not abaf.flat and semantics not in (Semantics.CF, Semantics.STB):
+        raise NonFlatError(
+            f"{semantics.value} extensions are only supported on flat frameworks"
+        )
+    closed_stable = semantics is Semantics.STB and closed and not abaf.flat
+    key = ("family", semantics, closed_stable)
+    if key not in abaf._cache:
         check_guard(len(abaf.assumptions), guard)
         order, index = _assumption_order(abaf)
         sup = minimal_supports(abaf)
@@ -342,33 +357,13 @@ def extension_families(abaf: Abaf, guard: Optional[int] = None) -> dict:
             for t in sup[abaf.contrary[a]]
         ]
         closure = []
-        if not abaf.flat:
+        if closed_stable:
             closure = [
                 (mask_of(t, index), index[a]) for a in order for t in sup[a]
             ]
-        fams = compute_families(len(order), attacks, closure)
-        abaf._cache["families"] = {
-            key: canonical_sets(unmask(m, order) for m in masks)
-            for key, masks in fams.items()
-        }
-    return abaf._cache["families"]
-
-
-def enumerate_extensions(
-    abaf: Abaf,
-    semantics: Semantics,
-    guard: Optional[int] = None,
-    nonflat_stable: Optional[bool] = None,
-) -> tuple[frozenset[int], ...]:
-    closed = _resolve_closed(abaf, nonflat_stable)
-    if not abaf.flat and semantics not in (Semantics.CF, Semantics.STB):
-        raise NonFlatError(
-            f"{semantics.value} extensions are only supported on flat frameworks"
-        )
-    fams = extension_families(abaf, guard)
-    if semantics is Semantics.STB and closed:
-        return fams[STB_CLOSED]
-    return fams[semantics]
+        masks = compute_families(len(order), attacks, semantics, closure)
+        abaf._cache[key] = canonical_sets(unmask(m, order) for m in masks)
+    return abaf._cache[key]
 
 
 def check_extension(

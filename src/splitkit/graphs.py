@@ -130,29 +130,35 @@ def condense(g: Digraph) -> Condensation:
 
 
 def order_ideals(cond: Condensation, limit: Optional[int] = None) -> list[frozenset[int]]:
-    """All SCC-index sets closed under predecessors (no dag edge enters from outside)."""
+    """All SCC-index sets closed under predecessors (no dag edge enters from outside).
+
+    The order is that of a depth-first walk along the topological order that
+    leaves each vertex out before taking it in; with ``limit`` the walk stops
+    after that many ideals.  The walk keeps its own stack, so long chains
+    cannot exhaust the interpreter's.
+    """
     preds = cond.predecessors()
     order = cond.topo_order
     out: list[frozenset[int]] = []
-
-    def rec(i: int, chosen: set[int]) -> bool:
-        if limit is not None and len(out) >= limit:
-            return False
-        if i == len(order):
-            out.append(frozenset(chosen))
-            return True
-        v = order[i]
-        if not rec(i + 1, chosen):
-            return False
-        if preds[v] <= chosen:
-            chosen.add(v)
-            ok = rec(i + 1, chosen)
-            chosen.remove(v)
-            return ok
-        return True
-
-    rec(0, set())
-    del rec  # rec's closure holds rec: break the cycle, or `out` lives until a gc pass
+    chosen: set[int] = set()
+    taken: list[int] = []  # positions in ``order`` taken in, increasing
+    while limit is None or len(out) < limit:
+        out.append(frozenset(chosen))
+        # Backtrack to the deepest position left out whose vertex could be
+        # taken in: everything past the last taken position was left out.
+        i = len(order) - 1
+        while True:
+            last = taken[-1] if taken else -1
+            while i > last and not preds[order[i]] <= chosen:
+                i -= 1
+            if i > last:
+                break
+            if not taken:
+                return out
+            chosen.remove(order[taken.pop()])  # both branches of ``last`` are done
+            i = last - 1
+        chosen.add(order[i])
+        taken.append(i)
     return out
 
 

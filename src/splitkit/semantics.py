@@ -3,12 +3,14 @@
 Both the ABA and the SETAF side reduce extension enumeration to the same
 combinatorial core: a set of n indexed items and a list of collective attacks
 (tail mask, head index).  Subsets are bitmasks, so the 2^n sweep stays cheap
-at desk scale.  The enumeration guard (default 20, overridable through the
-``SPLITKIT_GUARD`` environment variable) keeps accidental blowups out.
+at desk scale; each call computes only the family that was asked for, and
+grounded needs no sweep at all.  The enumeration guard (default 20,
+overridable through the ``SPLITKIT_GUARD`` environment variable) keeps
+accidental blowups out.
 
 ``split_union`` is the one splitting schema that the ABA, quasi and SETAF
-splittings share: solve the bottom, build and solve one top per bottom
-extension, and take the union of the combined results.
+splittings share: solve the bottom, build one top per bottom extension,
+solve each distinct top once, and take the union of the combined results.
 """
 
 from __future__ import annotations
@@ -38,10 +40,6 @@ class Semantics(Enum):
         raise ValueError(f"unknown semantics token {token!r}")
 
 
-# Closed-set stable variant, stored alongside the plain families.
-STB_CLOSED = "stb_closed"
-
-
 def resolve_guard(guard: int | str | None) -> int:
     if guard is None:
         guard = os.environ.get("SPLITKIT_GUARD", DEFAULT_GUARD)
@@ -65,11 +63,6 @@ def attacked_mask(mask: int, attacks: Sequence[tuple[int, int]]) -> int:
     return acc
 
 
-def minimal_masks(masks: Iterable[int]) -> list[int]:
-    ms = list(masks)
-    return [m for m in ms if not any(o != m and o & m == o for o in ms)]
-
-
 def maximal_masks(masks: Iterable[int]) -> list[int]:
     ms = list(masks)
     return [m for m in ms if not any(o != m and o & m == m for o in ms)]
@@ -78,38 +71,36 @@ def maximal_masks(masks: Iterable[int]) -> list[int]:
 def compute_families(
     n: int,
     attacks: Sequence[tuple[int, int]],
+    semantics: Semantics,
     closure: Sequence[tuple[int, int]] = (),
-) -> dict:
-    """All six extension families of an n-item attack structure.
+) -> list[int]:
+    """The extensions of an n-item attack structure under one semantics, as masks.
 
-    ``closure`` lists derivations (tail mask, derived item) used only for the
-    closed-set stable variant; for flat inputs it may be left empty, making
-    ``stb`` and ``stb_closed`` coincide.
+    Grounded is the least fixpoint of the defence function, with no sweep;
+    preferred keeps the maximal complete masks; the others come from one
+    2^n sweep that runs only the checks its semantics needs.  ``closure``
+    lists derivations (tail mask, derived item) and makes ``stb`` the
+    closed-set stable variant; for flat inputs it is left empty.
     """
+    if semantics is Semantics.GRD:
+        return [_least_fixpoint(n, attacks)]
     full = (1 << n) - 1
-    size = 1 << n
-    attacked = [0] * size
-    for mask in range(size):
-        attacked[mask] = attacked_mask(mask, attacks)
-
     per_item_attacks: list[list[int]] = [[] for _ in range(n)]
     for tail, head in attacks:
         per_item_attacks[head].append(tail)
 
-    cf: list[int] = []
-    adm: list[int] = []
-    com: list[int] = []
-    stb: list[int] = []
-    stb_closed: list[int] = []
-    for mask in range(size):
-        att = attacked[mask]
+    out: list[int] = []
+    for mask in range(1 << n):
+        att = attacked_mask(mask, attacks)
         if att & mask:
             continue
-        cf.append(mask)
-        if mask | att == full:
-            stb.append(mask)
-            if not closure or not (derived_mask(mask, closure) & ~mask):
-                stb_closed.append(mask)
+        if semantics is Semantics.CF:
+            out.append(mask)
+            continue
+        if semantics is Semantics.STB:
+            if mask | att == full and not (closure and derived_mask(mask, closure) & ~mask):
+                out.append(mask)
+            continue
         defended_ok = True
         for tail, head in attacks:
             if (1 << head) & mask and not (tail & att):
@@ -117,27 +108,35 @@ def compute_families(
                 break
         if not defended_ok:
             continue
-        adm.append(mask)
-        complete = True
-        for item in range(n):
-            bit = 1 << item
-            if bit & mask:
+        if semantics is not Semantics.ADM:
+            complete = True
+            for item in range(n):
+                bit = 1 << item
+                if bit & mask:
+                    continue
+                if all(tail & att for tail in per_item_attacks[item]):
+                    complete = False  # defended but excluded
+                    break
+            if not complete:
                 continue
-            if all(tail & att for tail in per_item_attacks[item]):
-                complete = False  # defended but excluded
-                break
-        if complete:
-            com.append(mask)
+        out.append(mask)
+    return maximal_masks(out) if semantics is Semantics.PREF else out
 
-    return {
-        Semantics.CF: cf,
-        Semantics.ADM: adm,
-        Semantics.COM: com,
-        Semantics.GRD: minimal_masks(com),
-        Semantics.PREF: maximal_masks(com),
-        Semantics.STB: stb,
-        STB_CLOSED: stb_closed,
-    }
+
+def _least_fixpoint(n: int, attacks: Sequence[tuple[int, int]]) -> int:
+    """The grounded mask: iterate the defence function from the empty set."""
+    full = (1 << n) - 1
+    mask = 0
+    while True:
+        att = attacked_mask(mask, attacks)
+        undefended = 0
+        for tail, head in attacks:
+            if not tail & att:
+                undefended |= 1 << head
+        defended = full & ~undefended
+        if defended == mask:
+            return mask
+        mask = defended
 
 
 def derived_mask(mask: int, closure: Sequence[tuple[int, int]]) -> int:
@@ -182,12 +181,19 @@ def split_union(
     semantics: Semantics, bottom: F, top_of: TopBuilder[F], solver: SubSolver[F]
 ) -> tuple[frozenset[int], ...]:
     """Extensions of a split framework: the union over all bottom extensions
-    of the lifted extensions of the top each one leaves."""
+    of the lifted extensions of the top each one leaves.
+
+    Bottom extensions often leave equal tops, so each distinct top is solved
+    once and its extensions are lifted by every bottom extension that left it.
+    """
     if semantics not in SPLIT_SEMANTICS:
         raise UnsupportedSemantics(f"split solving does not cover {semantics.value}")
     results: set[frozenset[int]] = set()
+    solved: dict[F, tuple[frozenset[int], ...]] = {}
     for e1 in solver(bottom, semantics):
         top, lift = top_of(frozenset(e1))
-        for e2 in solver(top, semantics):
-            results.add(lift(frozenset(e2)))
+        if top not in solved:
+            solved[top] = tuple(frozenset(e2) for e2 in solver(top, semantics))
+        for e2 in solved[top]:
+            results.add(lift(e2))
     return canonical_sets(results)

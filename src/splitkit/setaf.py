@@ -48,6 +48,10 @@ class Setaf:
                 deduped.append((tail, head))
         self.attacks = tuple(deduped)
 
+    def __hash__(self) -> int:
+        """Agrees with ``==``, so equal frameworks share a dict entry."""
+        return hash((self.names, self.attacks))
+
     @property
     def n_args(self) -> int:
         return len(self.names)
@@ -121,24 +125,18 @@ def attack_range(
     return attacked, s | attacked
 
 
-def extension_families(sf: Setaf, guard: Optional[int] = None) -> dict:
-    if "families" not in sf._cache:
+def enumerate_extensions(
+    sf: Setaf, semantics: Semantics, guard: Optional[int] = None
+) -> tuple[frozenset[int], ...]:
+    """The family of one semantics, cached."""
+    if semantics not in sf._cache:
         check_guard(sf.n_args, guard)
         order = list(range(sf.n_args))
         index = {a: a for a in order}
         attacks = [(mask_of(t, index), h) for t, h in sf.attacks]
-        fams = compute_families(sf.n_args, attacks)
-        sf._cache["families"] = {
-            key: canonical_sets(unmask(m, order) for m in masks)
-            for key, masks in fams.items()
-        }
-    return sf._cache["families"]
-
-
-def enumerate_extensions(
-    sf: Setaf, semantics: Semantics, guard: Optional[int] = None
-) -> tuple[frozenset[int], ...]:
-    return extension_families(sf, guard)[semantics]
+        masks = compute_families(sf.n_args, attacks, semantics)
+        sf._cache[semantics] = canonical_sets(unmask(m, order) for m in masks)
+    return sf._cache[semantics]
 
 
 def check_extension(sf: Setaf, arg_set: Iterable[int], semantics: Semantics,

@@ -90,6 +90,19 @@ def test_single_scc_framework_is_degenerate():
         find_balanced_splitting(d)
 
 
+def test_long_chain_is_splittable():
+    """1 200 assumption/contrary pairs, each attacked from the pair below: the
+    walk over order ideals must not recurse once per component."""
+    n = 1200
+    d = Abaf.from_names(
+        assumptions={f"a{i}": f"c{i}" for i in range(n)},
+        rules=[(f"c{i}", [f"a{i - 1}"]) for i in range(1, n)],
+    )
+    s = find_balanced_splitting(d)
+    assert len(s) == n  # the lower 600 pairs
+    assert ids(d, "a0", "c0") <= s and not ids(d, f"a{n - 1}") <= s
+
+
 def test_chain3_bottoms_are_candidates():
     d = abaf_chain3()
     s1 = ids(d, "a", "b", "a_c", "b_c")

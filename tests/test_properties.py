@@ -175,3 +175,33 @@ def test_oracle_agrees_with_all_subsets_evaluator():
         }
         for sem in Semantics:
             assert set(enum(d, sem)) == naive[sem]
+
+
+def test_setaf_oracle_agrees_with_definitions():
+    """Every family of the SETAF oracle against a subset scan of the
+    definitions, with grounded as the minimal complete set."""
+    from itertools import combinations
+
+    for seed in range(80):
+        sf = random_setaf(seed, max_args=6, max_attacks=8)
+        subs = [frozenset(c) for r in range(sf.n_args + 1) for c in combinations(sf.args, r)]
+
+        def attacks(s, a):
+            return any(h == a and t <= s for t, h in sf.attacks)
+
+        def defended(s, a):
+            return all(any(attacks(s, b) for b in t) for t, h in sf.attacks if h == a)
+
+        cf = [s for s in subs if not any(attacks(s, a) for a in s)]
+        adm = [s for s in cf if all(defended(s, a) for a in s)]
+        com = [s for s in adm if all(a in s for a in sf.args if defended(s, a))]
+        naive = {
+            Semantics.CF: set(cf),
+            Semantics.ADM: set(adm),
+            Semantics.COM: set(com),
+            Semantics.GRD: {s for s in com if not any(o < s for o in com)},
+            Semantics.PREF: {s for s in com if not any(s < o for o in com)},
+            Semantics.STB: {s for s in cf if all(a in s or attacks(s, a) for a in sf.args)},
+        }
+        for sem in Semantics:
+            assert set(setaf_extensions(sf, sem)) == naive[sem]

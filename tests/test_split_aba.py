@@ -226,6 +226,40 @@ def test_split_solve_equals_oracle_on_random_instances():
                 assert split_solve(d, s, sem) == enumerate_extensions(d, sem)
 
 
+def test_split_solves_each_distinct_top_once():
+    """Two stacked blocks whose bottom extensions leave few distinct tops: the
+    sub-solver runs once on the bottom and once per distinct top."""
+    from splitkit.io import emit_aba
+
+    d = Abaf.from_names(
+        assumptions={"a": "a_c", "b": "b_c", "c": "c_c", "x": "x_c", "y": "y_c"},
+        rules=[
+            ("b_c", ["c"]),
+            ("c_c", ["b"]),
+            ("x_c", ["y"]),
+            ("y_c", ["x"]),
+            ("x_c", ["b"]),
+            ("y_c", ["a", "c"]),
+        ],
+    )
+    sp = make_splitting(d, ids(d, "a", "b", "c", "a_c", "b_c", "c_c"))
+    repeats = 0
+    for sem in SEMS:
+        calls = []
+
+        def counting(fw, s):
+            calls.append(fw)
+            return enumerate_extensions(fw, s)
+
+        assert sp.solve(sem, sub_solver=counting) == enumerate_extensions(d, sem)
+        bottom_exts = enumerate_extensions(sp.bottom, sem)
+        tops = {emit_aba(sp.modification(e1)) for e1 in bottom_exts}
+        assert calls[0] is sp.bottom
+        assert sorted(emit_aba(top) for top in calls[1:]) == sorted(tops)
+        repeats += len(bottom_exts) - len(tops)
+    assert repeats > 0
+
+
 def test_bottom_support_conservativity():
     from splitkit.finder import splitting_sets
 
