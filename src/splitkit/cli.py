@@ -216,7 +216,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("find-split", help="print a splitting set, one atom id per line")
     _add_common(p, semantics=False)
-    p.add_argument("--balance", type=float, default=0.5)
+    p.add_argument("--balance", type=float, default=0.5,
+                   help="target share of the atoms in the bottom, in [0, 1]")
     p.add_argument("--quasi", action="store_true")
     p.add_argument("--window", type=float, default=0.2,
                    help="half-width of the balance window for --quasi")

@@ -19,6 +19,10 @@ class InvalidGuard(ValidationError, ValueError):
     """The enumeration guard is not a nonnegative integer."""
 
 
+class InvalidBalance(ValidationError, ValueError):
+    """A balance target or window is not a finite number in its range."""
+
+
 class ParseError(SplitkitError):
     def __init__(self, line_no: int, message: str):
         super().__init__(f"line {line_no}: {message}")

@@ -17,12 +17,14 @@ bigger inputs it anchors augmenting-path max-flow cuts on node pairs.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
 from splitkit.aba import Abaf
-from splitkit.errors import DegenerateSplit
-from splitkit.graphs import Condensation, Digraph, condense, max_flow, order_ideals, topo_prefix_ideals
+from splitkit.errors import DegenerateSplit, InvalidBalance
+from splitkit.graphs import Digraph, condense, max_flow, order_ideals, topo_prefix_ideals
+from splitkit.semantics import unmask
 from splitkit.setaf import Setaf, primal_graph
 from splitkit.split_aba import QuasiSplitting, make_quasi_splitting, make_splitting
 from splitkit.split_setaf import make_splitting as make_setaf_splitting
@@ -42,11 +44,16 @@ def dependency_graph(abaf: Abaf) -> Digraph:
     return Digraph(abaf.n_atoms, frozenset(edges), abaf.names)
 
 
-def _ideal_atoms(cond: Condensation, ideal: frozenset[int]) -> frozenset[int]:
-    atoms: set[int] = set()
-    for i in ideal:
-        atoms |= cond.sccs[i]
-    return frozenset(atoms)
+def _nontrivial(masks: list[int], total: int) -> list[int]:
+    full = (1 << total) - 1
+    return [m for m in masks if m and m != full]
+
+
+def _candidates(masks: list[int], total: int, nontrivial: bool) -> list[frozenset[int]]:
+    if nontrivial:
+        masks = _nontrivial(masks, total)
+    sets = (unmask(m, range(total)) for m in masks)
+    return sorted(sets, key=lambda s: (len(s), tuple(sorted(s))))
 
 
 def splitting_sets(
@@ -58,28 +65,27 @@ def splitting_sets(
     """Candidate splitting sets from the dependency condensation."""
     cond = condense(dependency_graph(abaf))
     ideals = topo_prefix_ideals(cond) if prefixes_only else order_ideals(cond, limit)
-    out = [_ideal_atoms(cond, ideal) for ideal in ideals]
-    if nontrivial:
-        out = [s for s in out if s and s != abaf.atoms]
-    return sorted(set(out), key=lambda s: (len(s), tuple(sorted(s))))
+    return _candidates(ideals, abaf.n_atoms, nontrivial)
 
 
 def setaf_splitting_bottoms(
     sf: Setaf, limit: Optional[int] = IDEAL_LIMIT, nontrivial: bool = False
 ) -> list[frozenset[int]]:
-    cond = condense(primal_graph(sf))
-    out = [_ideal_atoms(cond, ideal) for ideal in order_ideals(cond, limit)]
-    if nontrivial:
-        out = [s for s in out if s and s != sf.args]
-    return sorted(set(out), key=lambda s: (len(s), tuple(sorted(s))))
+    return _candidates(order_ideals(condense(primal_graph(sf)), limit), sf.n_args, nontrivial)
 
 
 def _score(size: int, total: int, target: float) -> float:
     return abs(size - target * total)
 
 
+def _check_target(target: float) -> None:
+    if not 0 <= target <= 1:  # NaN fails every comparison
+        raise InvalidBalance(f"balance target must be a number in [0, 1], got {target}")
+
+
 def balanced_candidates(abaf: Abaf, target: float = 0.5) -> list[frozenset[int]]:
     """Nontrivial candidate splitting sets, best balanced first."""
+    _check_target(target)
     cands = splitting_sets(abaf, nontrivial=True)
     return sorted(
         cands,
@@ -87,23 +93,32 @@ def balanced_candidates(abaf: Abaf, target: float = 0.5) -> list[frozenset[int]]
     )
 
 
-def find_balanced_splitting(abaf: Abaf, target: float = 0.5) -> frozenset[int]:
-    cands = balanced_candidates(abaf, target)
-    if not cands:
+def _most_balanced(ideals: list[int], total: int, target: float) -> frozenset[int]:
+    """The first of the nontrivial ideals in ``balanced_candidates`` order.
+
+    The score depends on the size alone, so the best size is found from the
+    bit counts, and only the ideals of that size become sets for the tie-break.
+    """
+    masks = _nontrivial(ideals, total)
+    if not masks:
         raise DegenerateSplit("only the trivial splittings exist")
-    best = cands[0]
+    best = min({m.bit_count() for m in masks}, key=lambda k: (_score(k, total, target), k))
+    tied = (unmask(m, range(total)) for m in masks if m.bit_count() == best)
+    return min(tied, key=lambda s: tuple(sorted(s)))
+
+
+def find_balanced_splitting(abaf: Abaf, target: float = 0.5) -> frozenset[int]:
+    _check_target(target)
+    cond = condense(dependency_graph(abaf))
+    best = _most_balanced(order_ideals(cond, IDEAL_LIMIT), abaf.n_atoms, target)
     make_splitting(abaf, best)  # never trust the construction unvalidated
     return best
 
 
 def find_setaf_splitting(sf: Setaf, target: float = 0.5) -> frozenset[int]:
-    cands = setaf_splitting_bottoms(sf, nontrivial=True)
-    if not cands:
-        raise DegenerateSplit("only the trivial splittings exist")
-    best = min(
-        cands,
-        key=lambda s: (_score(len(s), sf.n_args, target), len(s), tuple(sorted(s))),
-    )
+    _check_target(target)
+    cond = condense(primal_graph(sf))
+    best = _most_balanced(order_ideals(cond, IDEAL_LIMIT), sf.n_args, target)
     make_setaf_splitting(sf, best)
     return best
 
@@ -142,9 +157,11 @@ def pair_contracted(abaf: Abaf) -> _Contracted:
     return _Contracted(groups, tuple(group_of))
 
 
-def _quasi_cost(abaf: Abaf, s: frozenset[int]) -> Optional[int]:
-    """Number of vulnerabilities of a candidate set, or None if not quasi-valid."""
-    heads = {r.head for r in abaf.rules}
+def _quasi_cost(abaf: Abaf, heads: set[int], s: frozenset[int]) -> Optional[int]:
+    """Number of vulnerabilities of a candidate set, or None if not quasi-valid.
+
+    ``heads`` holds the head of every rule of ``abaf``.
+    """
     vulnerable: set[int] = set()
     for r in abaf.rules:
         if r.head not in s:
@@ -171,14 +188,17 @@ def find_quasi_splitting(
     min-cuts otherwise.  Trivial sets are never returned; if the window is
     unsatisfiable the globally best nontrivial candidate is used instead.
     """
+    if not (math.isfinite(lo) and math.isfinite(hi) and lo <= hi):
+        raise InvalidBalance(f"balance window must be finite with lo <= hi, got [{lo}, {hi}]")
     con = pair_contracted(abaf)
     m = len(con.groups)
     if m <= 1:
         raise DegenerateSplit("framework contracts to a single group")
+    heads = {r.head for r in abaf.rules}
     if method == "exact" or (method == "auto" and m <= EXACT_GROUP_LIMIT):
-        candidates = _quasi_exact(abaf, con)
+        candidates = _quasi_exact(abaf, con, heads)
     else:
-        candidates = _quasi_flow(abaf, con)
+        candidates = _quasi_flow(abaf, con, heads)
     if not candidates:
         raise DegenerateSplit("no nontrivial quasi-splitting found")
     total = abaf.n_atoms
@@ -197,20 +217,23 @@ def find_quasi_splitting(
     return make_quasi_splitting(abaf, s)
 
 
-def _quasi_exact(abaf: Abaf, con: _Contracted) -> list[tuple[int, frozenset[int]]]:
+def _quasi_exact(
+    abaf: Abaf, con: _Contracted, heads: set[int]
+) -> list[tuple[int, frozenset[int]]]:
     m = len(con.groups)
     out = []
     for mask in range(1, (1 << m) - 1):
         atoms = frozenset().union(*(con.groups[i] for i in range(m) if mask >> i & 1))
-        k = _quasi_cost(abaf, atoms)
+        k = _quasi_cost(abaf, heads, atoms)
         if k is not None:
             out.append((k, atoms))
     return out
 
 
-def _quasi_flow(abaf: Abaf, con: _Contracted) -> list[tuple[int, frozenset[int]]]:
+def _quasi_flow(
+    abaf: Abaf, con: _Contracted, heads: set[int]
+) -> list[tuple[int, frozenset[int]]]:
     m = len(con.groups)
-    heads = {r.head for r in abaf.rules}
     charge_node: dict[int, int] = {}
     next_id = m
     arcs: dict[tuple[int, int], int] = {}
@@ -250,7 +273,7 @@ def _quasi_flow(abaf: Abaf, con: _Contracted) -> list[tuple[int, frozenset[int]]
             if not atoms or atoms == abaf.atoms or atoms in seen:
                 continue
             seen.add(atoms)
-            k = _quasi_cost(abaf, atoms)
+            k = _quasi_cost(abaf, heads, atoms)
             if k is not None:
                 out.append((k, atoms))
     return out

@@ -84,12 +84,6 @@ class Condensation:
         if not self.topo_order:
             self.topo_order = _topological_order(len(self.sccs), self.dag_edges)
 
-    def predecessors(self) -> list[set[int]]:
-        preds: list[set[int]] = [set() for _ in self.sccs]
-        for u, v in self.dag_edges:
-            preds[v].add(u)
-        return preds
-
 
 def _topological_order(n: int, edges: Iterable[tuple[int, int]]) -> tuple[int, ...]:
     indeg = [0] * n
@@ -129,47 +123,59 @@ def condense(g: Digraph) -> Condensation:
     )
 
 
-def order_ideals(cond: Condensation, limit: Optional[int] = None) -> list[frozenset[int]]:
-    """All SCC-index sets closed under predecessors (no dag edge enters from outside).
+def order_ideals(cond: Condensation, limit: Optional[int] = None) -> list[int]:
+    """All SCC sets closed under predecessors (no dag edge enters from outside),
+    each as a bitmask over the original vertices.
 
-    The order is that of a depth-first walk along the topological order that
-    leaves each vertex out before taking it in; with ``limit`` the walk stops
-    after that many ideals.  The walk keeps its own stack, so long chains
-    cannot exhaust the interpreter's.
+    An ideal is taken as its SCCs in topological order, each one free to add
+    once its predecessors are in.  The ideals come in the preorder of a
+    depth-first walk that extends an ideal only by SCCs later in that order
+    than the last one it added, the latest first; with ``limit`` the walk
+    stops after that many ideals.  The walk keeps its own stack, so long
+    chains cannot exhaust the interpreter's.
     """
-    preds = cond.predecessors()
-    order = cond.topo_order
-    out: list[frozenset[int]] = []
-    chosen: set[int] = set()
-    taken: list[int] = []  # positions in ``order`` taken in, increasing
-    while limit is None or len(out) < limit:
-        out.append(frozenset(chosen))
-        # Backtrack to the deepest position left out whose vertex could be
-        # taken in: everything past the last taken position was left out.
-        i = len(order) - 1
-        while True:
-            last = taken[-1] if taken else -1
-            while i > last and not preds[order[i]] <= chosen:
-                i -= 1
-            if i > last:
-                break
-            if not taken:
-                return out
-            chosen.remove(order[taken.pop()])  # both branches of ``last`` are done
-            i = last - 1
-        chosen.add(order[i])
-        taken.append(i)
-    return out
+    # Every list is indexed by position in the topological order.
+    position = {v: i for i, v in enumerate(cond.topo_order)}
+    members = [_mask(cond.sccs[v]) for v in cond.topo_order]
+    need = [0] * len(members)  # the vertices of each SCC's predecessors
+    later: list[list[int]] = [[] for _ in members]  # each SCC's successors
+    for u, v in cond.dag_edges:
+        need[position[v]] |= members[position[u]]
+        later[position[u]].append(position[v])
+    free = sum(1 << i for i, m in enumerate(need) if not m)
+    # One frame per ideal on the current branch with SCCs left to try: its
+    # vertices, the positions free to add after its last one, and those of
+    # them not yet tried.
+    stack = [(0, free, free)] if free else []
+    out = [0]
+    while stack and (limit is None or len(out) < limit):
+        chosen, free, untried = stack.pop()
+        i = untried.bit_length() - 1
+        untried ^= 1 << i
+        if untried:
+            stack.append((chosen, free, untried))
+        chosen |= members[i]
+        out.append(chosen)
+        # Adding ``i`` frees only its own successors, all later than ``i``.
+        free = free >> (i + 1) << (i + 1)
+        for j in later[i]:
+            if not need[j] & ~chosen:
+                free |= 1 << j
+        if free:
+            stack.append((chosen, free, free))
+    return out[:limit]
 
 
-def topo_prefix_ideals(cond: Condensation) -> list[frozenset[int]]:
+def topo_prefix_ideals(cond: Condensation) -> list[int]:
     """The linear chain of ideals induced by the canonical topological order."""
-    out = [frozenset()]
-    chosen: set[int] = set()
+    out = [0]
     for v in cond.topo_order:
-        chosen.add(v)
-        out.append(frozenset(chosen))
+        out.append(out[-1] | _mask(cond.sccs[v]))
     return out
+
+
+def _mask(vertices: Iterable[int]) -> int:
+    return sum(1 << v for v in vertices)
 
 
 def max_flow(n: int, arcs: dict[tuple[int, int], int], source: int, sink: int) -> tuple[int, set[int]]:

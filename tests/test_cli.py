@@ -185,6 +185,12 @@ def test_exit_codes(tmp_path, capsys, monkeypatch):
     d = str(tmp_path / "d.aba")
     assert main(["solve", d, "--semantics", "cf", "--mode", "split"]) == 3
     assert main(["check", "--semantics", "cf"]) == 3
+    e = str(tmp_path / "e.aba")
+    assert main(["gen", "--seed", "5", "--assumptions", "8", "--rules", "6", "--output", e]) == 0
+    for balance in ("nan", "inf", "-3", "7"):
+        assert main(["find-split", e, "--balance", balance]) == 3
+    assert main(["find-split", e, "--quasi", "--balance", "nan"]) == 3
+    assert main(["find-split", e, "--quasi", "--window", "-0.1"]) == 3
     monkeypatch.setenv("SPLITKIT_GUARD", "abc")
     assert main(["solve", d, "--semantics", "prf"]) == 3
     with pytest.raises(SystemExit) as err:

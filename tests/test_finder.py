@@ -2,8 +2,9 @@ import pytest
 
 from helpers import abaf7, abaf_chain3, abaf_vuln, ids, nm, setaf7
 from splitkit.aba import Abaf
-from splitkit.errors import DegenerateSplit, NonAssumptionBodyOut, NotAtomClosed
+from splitkit.errors import DegenerateSplit, NonAssumptionBodyOut, NotAtomClosed, ValidationError
 from splitkit.finder import (
+    IDEAL_LIMIT,
     balanced_candidates,
     dependency_graph,
     find_balanced_splitting,
@@ -13,8 +14,8 @@ from splitkit.finder import (
     setaf_splitting_bottoms,
     splitting_sets,
 )
-from splitkit.generate import random_abaf
-from splitkit.graphs import condense
+from splitkit.generate import random_abaf, random_setaf
+from splitkit.graphs import condense, order_ideals
 from splitkit.setaf import Setaf
 from splitkit.split_aba import make_quasi_splitting, make_splitting
 from splitkit.split_setaf import make_splitting as make_setaf_splitting
@@ -127,6 +128,58 @@ def test_find_setaf_splitting_examples():
         find_setaf_splitting(cyclic)
     free = Setaf.from_names(["a", "b", "c"], [])
     assert find_setaf_splitting(free)  # any nontrivial subset works
+
+
+TARGETS = (0, 0.3, 0.5, 0.8, 1)
+
+
+def first_balanced_bottom(sf, target):
+    return min(
+        setaf_splitting_bottoms(sf, nontrivial=True),
+        key=lambda s: (abs(len(s) - target * sf.n_args), len(s), tuple(sorted(s))),
+    )
+
+
+def test_finders_pick_the_first_balanced_candidate():
+    for seed in range(80):
+        d = random_abaf(seed, max_assumptions=3 + seed % 6, max_rules=seed % 10)
+        sf = random_setaf(seed, max_args=2 + seed % 8, max_attacks=seed % 12)
+        for t in TARGETS:
+            cands = balanced_candidates(d, t)
+            if cands:
+                assert find_balanced_splitting(d, t) == cands[0]
+            else:
+                with pytest.raises(DegenerateSplit):
+                    find_balanced_splitting(d, t)
+            if setaf_splitting_bottoms(sf, nontrivial=True):
+                assert find_setaf_splitting(sf, t) == first_balanced_bottom(sf, t)
+            else:
+                with pytest.raises(DegenerateSplit):
+                    find_setaf_splitting(sf, t)
+
+
+def test_truncated_walk_keeps_the_candidate_order_choice():
+    """13 independent pairs have 2^13 ideals; the finder sees the first IDEAL_LIMIT."""
+    d = Abaf.from_names(assumptions={f"a{i}": f"c{i}" for i in range(13)}, rules=[])
+    assert len(order_ideals(condense(dependency_graph(d)), IDEAL_LIMIT)) == IDEAL_LIMIT
+    sf = Setaf.from_names([f"a{i}" for i in range(13)], [])
+    for t in TARGETS:
+        assert find_balanced_splitting(d, t) == balanced_candidates(d, t)[0]
+        assert find_setaf_splitting(sf, t) == first_balanced_bottom(sf, t)
+
+
+def test_malformed_balance_targets_are_rejected():
+    d, sf = abaf7(), setaf7()
+    for bad in (float("nan"), float("inf"), -float("inf"), -3, -0.01, 1.01, 7):
+        with pytest.raises(ValidationError):
+            find_balanced_splitting(d, bad)
+        with pytest.raises(ValidationError):
+            find_setaf_splitting(sf, bad)
+    nan, inf = float("nan"), float("inf")
+    for lo, hi in ((nan, 0.5), (0.2, nan), (-inf, 0.5), (0.2, inf), (0.6, 0.4)):
+        with pytest.raises(ValidationError):
+            find_quasi_splitting(d, lo=lo, hi=hi)
+    assert find_quasi_splitting(d, lo=0.5, hi=0.5).s  # a zero-width window is allowed
 
 
 def exhaustive_min_k(d, lo, hi):

@@ -1,0 +1,69 @@
+import random
+
+import pytest
+
+from splitkit.finder import IDEAL_LIMIT
+from splitkit.graphs import Digraph, condense, order_ideals
+
+
+def frozenset_walk(cond, limit=None):
+    """The order-ideal walk over SCC-id sets, kept as the reference for the
+    bitmask walk: leave each vertex out before taking it in."""
+    preds = [set() for _ in cond.sccs]
+    for u, v in cond.dag_edges:
+        preds[v].add(u)
+    order = cond.topo_order
+    out = []
+    chosen = set()
+    taken = []
+    while limit is None or len(out) < limit:
+        out.append(frozenset(chosen))
+        i = len(order) - 1
+        while True:
+            last = taken[-1] if taken else -1
+            while i > last and not preds[order[i]] <= chosen:
+                i -= 1
+            if i > last:
+                break
+            if not taken:
+                return out
+            chosen.remove(order[taken.pop()])
+            i = last - 1
+        chosen.add(order[i])
+        taken.append(i)
+    return out
+
+
+def as_mask(cond, ideal):
+    return sum(1 << v for i in ideal for v in cond.sccs[i])
+
+
+def random_graph(rng, n):
+    """A random digraph; back edges, when drawn, merge vertices into SCCs."""
+    forward = rng.random() * 0.4
+    back = rng.choice((0.0, 0.0, 0.05))
+    edges = set()
+    for u in range(n):
+        for v in range(n):
+            if (u < v and rng.random() < forward) or (u > v and rng.random() < back):
+                edges.add((u, v))
+    return Digraph(n, frozenset(edges))
+
+
+@pytest.mark.parametrize("limit", [0, 1, 5, IDEAL_LIMIT, None])
+def test_bitmask_walk_matches_the_frozenset_walk(limit):
+    """Same ideals in the same order on random graphs of up to 24 vertices;
+    without a limit only up to 14, so that the walk stays short."""
+    rng = random.Random(limit)
+    for _ in range(60):
+        n = rng.randint(0, 24 if limit is not None else 14)
+        cond = condense(random_graph(rng, n))
+        expected = [as_mask(cond, ideal) for ideal in frozenset_walk(cond, limit)]
+        assert order_ideals(cond, limit) == expected
+
+
+def test_walk_stops_at_the_limit_on_independent_vertices():
+    cond = condense(Digraph(13, frozenset()))
+    ideals = order_ideals(cond, IDEAL_LIMIT)
+    assert len(ideals) == IDEAL_LIMIT and len(set(ideals)) == IDEAL_LIMIT
+    assert len(order_ideals(cond)) == 1 << 13
