@@ -110,10 +110,6 @@ class Abaf:
             b in self.assumptions and self.contrary[b] == rule.head for b in rule.body
         )
 
-    def alpha(self, atom: int) -> frozenset[int]:
-        """Assumptions whose contrary is ``atom`` (may be several, may be none)."""
-        return frozenset(a for a, c in self.contrary.items() if c == atom)
-
     @classmethod
     def from_names(
         cls,

@@ -2,11 +2,15 @@
 
 Both the ABA and the SETAF side reduce extension enumeration to the same
 combinatorial core: a set of n indexed items and a list of collective attacks
-(tail mask, head index).  Subsets are bitmasks, so the 2^n sweep stays cheap
-at desk scale; each call computes only the family that was asked for, and
-grounded needs no sweep at all.  The enumeration guard (default 20,
-overridable through the ``SPLITKIT_GUARD`` environment variable) keeps
-accidental blowups out.
+(tail mask, head index).  Subsets are bitmasks, and ``compute_families``
+tests all 2^n of them at once: a *column* is one int of 2^n bits whose bit m
+says something about subset m, so a check that a per-subset loop would make
+2^n times is a few big-int ANDs and ORs.  Preferred comes from a superset-sum
+("zeta") transform of the complete column; grounded is a fixpoint and needs
+no columns.  A call holds about 3n columns, about 3n * 2^n bits (7.5 MiB at
+n = 20).  Each call computes only the family that was asked for.  The
+enumeration guard (default 20, overridable through the ``SPLITKIT_GUARD``
+environment variable) keeps accidental blowups out.
 
 ``split_union`` is the one splitting schema that the ABA, quasi and SETAF
 splittings share: solve the bottom, build one top per bottom extension,
@@ -63,64 +67,96 @@ def attacked_mask(mask: int, attacks: Sequence[tuple[int, int]]) -> int:
     return acc
 
 
-def maximal_masks(masks: Iterable[int]) -> list[int]:
-    ms = list(masks)
-    return [m for m in ms if not any(o != m and o & m == m for o in ms)]
-
-
 def compute_families(
     n: int,
     attacks: Sequence[tuple[int, int]],
     semantics: Semantics,
     closure: Sequence[tuple[int, int]] = (),
 ) -> list[int]:
-    """The extensions of an n-item attack structure under one semantics, as masks.
+    """The extensions of an n-item attack structure under one semantics, as
+    masks in increasing order.
 
-    Grounded is the least fixpoint of the defence function, with no sweep;
-    preferred keeps the maximal complete masks; the others come from one
-    2^n sweep that runs only the checks its semantics needs.  ``closure``
+    Grounded is the least fixpoint of the defence function, with no columns.
+    The others test all 2^n subsets at once: bit m of a column is about
+    subset m.  From the columns of the subsets holding each item come, per
+    item, the columns of the subsets attacking it and (adm, com, prf) of
+    those defending it, and the semantics' conditions are ANDed together.
+    Preferred drops each complete subset with a complete strict superset,
+    found by a superset-sum transform of the complete column.  ``closure``
     lists derivations (tail mask, derived item) and makes ``stb`` the
-    closed-set stable variant; for flat inputs it is left empty.
+    closed-set stable variant; for flat inputs it is left empty.  Attacks
+    stream into the per-item columns, so about 3n columns of 2^n bits are
+    alive at once.
     """
     if semantics is Semantics.GRD:
         return [_least_fixpoint(n, attacks)]
-    full = (1 << n) - 1
-    per_item_attacks: list[list[int]] = [[] for _ in range(n)]
-    for tail, head in attacks:
-        per_item_attacks[head].append(tail)
+    size = 1 << n
+    full = (1 << size) - 1
+    holds = [_item_column(i, size) for i in range(n)]
 
-    out: list[int] = []
-    for mask in range(1 << n):
-        att = attacked_mask(mask, attacks)
-        if att & mask:
-            continue
-        if semantics is Semantics.CF:
-            out.append(mask)
-            continue
-        if semantics is Semantics.STB:
-            if mask | att == full and not (closure and derived_mask(mask, closure) & ~mask):
-                out.append(mask)
-            continue
-        defended_ok = True
+    def fits(tail: int) -> int:
+        col = full
+        while tail:
+            low = tail & -tail
+            col &= holds[low.bit_length() - 1]
+            tail ^= low
+        return col
+
+    attacked = [0] * n
+    for tail, head in attacks:
+        attacked[head] |= fits(tail)
+    ok = full
+    for i in range(n):
+        ok &= ~(attacked[i] & holds[i])
+    if semantics is Semantics.STB:
+        for i in range(n):
+            ok &= holds[i] | attacked[i]
+        for tail, item in closure:
+            ok &= ~(fits(tail) & ~holds[item])
+    elif semantics is not Semantics.CF:
+        defended = [full] * n
         for tail, head in attacks:
-            if (1 << head) & mask and not (tail & att):
-                defended_ok = False
-                break
-        if not defended_ok:
-            continue
+            counter = 0
+            while tail:
+                low = tail & -tail
+                counter |= attacked[low.bit_length() - 1]
+                tail ^= low
+            defended[head] &= counter
+        for i in range(n):
+            ok &= ~(holds[i] & ~defended[i])
         if semantics is not Semantics.ADM:
-            complete = True
-            for item in range(n):
-                bit = 1 << item
-                if bit & mask:
-                    continue
-                if all(tail & att for tail in per_item_attacks[item]):
-                    complete = False  # defended but excluded
-                    break
-            if not complete:
-                continue
-        out.append(mask)
-    return maximal_masks(out) if semantics is Semantics.PREF else out
+            for i in range(n):
+                ok &= ~(defended[i] & ~holds[i])  # defended but excluded
+        if semantics is Semantics.PREF:
+            above = ok  # subsets with a complete superset
+            for i in range(n):
+                above |= (above & holds[i]) >> (1 << i)
+            strictly = 0
+            for i in range(n):
+                strictly |= (above & holds[i]) >> (1 << i)
+            ok &= ~strictly
+    bits = bin(ok)[:1:-1]  # bit 0 first
+    out = []
+    m = bits.find("1")
+    while m >= 0:
+        out.append(m)
+        m = bits.find("1", m + 1)
+    return out
+
+
+def _item_column(item: int, size: int) -> int:
+    """The column of the subsets of ``size`` masks that contain ``item``.
+
+    Built by doubling one period, never by dividing: CPython's big-int
+    division is superlinear in the width of the column.
+    """
+    width = 1 << item
+    col = ((1 << width) - 1) << width
+    width <<= 1
+    while width < size:
+        col |= col << width
+        width <<= 1
+    return col
 
 
 def _least_fixpoint(n: int, attacks: Sequence[tuple[int, int]]) -> int:
@@ -137,14 +173,6 @@ def _least_fixpoint(n: int, attacks: Sequence[tuple[int, int]]) -> int:
         if defended == mask:
             return mask
         mask = defended
-
-
-def derived_mask(mask: int, closure: Sequence[tuple[int, int]]) -> int:
-    acc = 0
-    for tail, item in closure:
-        if tail & mask == tail:
-            acc |= 1 << item
-    return acc
 
 
 def mask_of(items: Iterable[int], index: dict) -> int:

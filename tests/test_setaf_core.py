@@ -2,7 +2,7 @@ import pytest
 
 from helpers import attacks_nm, fam, ids, nm, setaf7
 from splitkit.errors import GuardExceeded, ValidationError
-from splitkit.semantics import Semantics
+from splitkit.semantics import DEFAULT_GUARD, Semantics
 from splitkit.setaf import (
     Setaf,
     attack_range,
@@ -57,6 +57,26 @@ def test_enumerate_guard():
     sf = setaf7()
     with pytest.raises(GuardExceeded):
         enumerate_extensions(sf, Semantics.CF, guard=4)
+
+
+def test_enumerate_at_the_guard():
+    pairs = 10  # 2 * pairs == DEFAULT_GUARD arguments
+    names = tuple(f"{side}{i}" for i in range(pairs) for side in "ab")
+    attacks = [(frozenset({2 * i}), 2 * i + 1) for i in range(pairs)]
+    attacks += [(frozenset({2 * i + 1}), 2 * i) for i in range(pairs)]
+    sf = Setaf(names, tuple(attacks))
+    assert sf.n_args == DEFAULT_GUARD
+    stb = enumerate_extensions(sf, Semantics.STB)
+    prf = enumerate_extensions(sf, Semantics.PREF)
+    assert len(stb) == 2**pairs and set(stb) == set(prf)
+    for ext in prf:
+        assert check_extension(sf, ext, Semantics.STB)
+        assert check_extension(sf, ext, Semantics.PREF)
+    assert enumerate_extensions(sf, Semantics.GRD) == (frozenset(),)
+    one_more = Setaf(names + ("c",), tuple(attacks))
+    for sem in Semantics:
+        with pytest.raises(GuardExceeded):
+            enumerate_extensions(one_more, sem)
 
 
 def test_attack_range_examples():
