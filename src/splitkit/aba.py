@@ -90,9 +90,6 @@ class Abaf:
     def atoms(self) -> frozenset[int]:
         return frozenset(range(len(self.names)))
 
-    def name(self, atom: int) -> str:
-        return self.names[atom]
-
     def atom_id(self, name: str) -> int:
         return self.names.index(name)
 
@@ -143,7 +140,6 @@ class ValidationReport:
     flat: bool
     non_flat_rules: tuple[Rule, ...]
     dummy_rules: tuple[Rule, ...]
-    contrary_total: bool = True  # enforced at construction
 
     @property
     def ok(self) -> bool:
@@ -213,7 +209,7 @@ def theory_closure(
     return frozenset(derived)
 
 
-def _support_fixpoint(abaf: Abaf, rules: Sequence[Rule], minimal: bool) -> list[set[int]]:
+def _support_fixpoint(abaf: Abaf, minimal: bool) -> list[set[int]]:
     """Per-atom sets of deriving assumption sets, as masks over sorted assumptions.
 
     With ``minimal`` the lists are kept subset-minimal; otherwise every exact
@@ -241,7 +237,7 @@ def _support_fixpoint(abaf: Abaf, rules: Sequence[Rule], minimal: bool) -> list[
     changed = True
     while changed:
         changed = False
-        for r in rules:
+        for r in abaf.rules:
             body_sups = [sup[b] for b in r.body]
             if any(not bs for bs in body_sups):
                 continue
@@ -263,52 +259,65 @@ def _assumption_order(abaf: Abaf) -> tuple[list[int], dict[int, int]]:
     return order, {a: i for i, a in enumerate(order)}
 
 
-def minimal_supports(
-    abaf: Abaf, rules: Optional[Sequence[Rule]] = None
-) -> dict[int, tuple[frozenset[int], ...]]:
+def minimal_supports(abaf: Abaf) -> dict[int, tuple[frozenset[int], ...]]:
     """For every atom, its subset-minimal deriving assumption sets."""
-    key = ("minsup", None if rules is None else tuple(rules))
-    if key not in abaf._cache:
-        rs = abaf.rules if rules is None else tuple(rules)
+    if "minsup" not in abaf._cache:
         order, _ = _assumption_order(abaf)
-        table = _support_fixpoint(abaf, rs, minimal=True)
-        abaf._cache[key] = {
+        table = _support_fixpoint(abaf, minimal=True)
+        abaf._cache["minsup"] = {
             atom: canonical_sets(unmask(m, order) for m in masks)
             for atom, masks in enumerate(table)
         }
-    return abaf._cache[key]
+    return abaf._cache["minsup"]
 
 
 def all_supports(
-    abaf: Abaf, rules: Optional[Sequence[Rule]] = None, guard: Optional[int] = None
+    abaf: Abaf, guard: Optional[int] = None
 ) -> dict[int, tuple[frozenset[int], ...]]:
     """Every exact derivation leaf set, not just the minimal ones.
 
     Distinct from the minimal table: a tree may force extra assumptions into
-    its leaf set, and several notions (undecidedness, influence) quantify over
-    those exact sets.
+    its leaf set, and the SETAF that lists every tail is built from those
+    exact sets.  Yes/no questions about them (undecidedness, influence) are
+    answered by ``tainted`` instead, without listing any set.
     """
-    key = ("allsup", None if rules is None else tuple(rules))
-    if key not in abaf._cache:
+    if "allsup" not in abaf._cache:
         check_guard(len(abaf.assumptions), guard)
-        rs = abaf.rules if rules is None else tuple(rules)
         order, _ = _assumption_order(abaf)
-        table = _support_fixpoint(abaf, rs, minimal=False)
-        abaf._cache[key] = {
+        table = _support_fixpoint(abaf, minimal=False)
+        abaf._cache["allsup"] = {
             atom: canonical_sets(unmask(m, order) for m in masks)
             for atom, masks in enumerate(table)
         }
-    return abaf._cache[key]
+    return abaf._cache["allsup"]
+
+
+def tainted(abaf: Abaf, allowed: Iterable[int], seed: Iterable[int]) -> frozenset[int]:
+    """Sentences with a derivation from ``allowed`` that has a leaf in ``seed``.
+
+    The least set that holds ``seed`` and the head of every rule whose body
+    is derivable from ``allowed`` and meets the set: a labelled Horn fixpoint
+    in the style of Dowling and Gallier (1984).  It decides what the exact
+    leaf sets of ``all_supports`` would, in polynomial time.
+    """
+    derivable = theory_closure(abaf, allowed)
+    rules = [r for r in abaf.rules if r.body <= derivable]
+    out = set(seed)
+    changed = True
+    while changed:
+        changed = False
+        for r in rules:
+            if r.head not in out and not r.body.isdisjoint(out):
+                out.add(r.head)
+                changed = True
+    return frozenset(out)
 
 
 def attacked_assumptions(
     abaf: Abaf, assumption_set: Iterable[int], rules: Optional[Sequence[Rule]] = None
 ) -> frozenset[int]:
-    s = frozenset(assumption_set)
-    sup = minimal_supports(abaf, rules)
-    return frozenset(
-        a for a in abaf.assumptions if any(t <= s for t in sup[abaf.contrary[a]])
-    )
+    th = theory_closure(abaf, assumption_set, rules)
+    return frozenset(a for a in abaf.assumptions if abaf.contrary[a] in th)
 
 
 def attack_range(
@@ -388,18 +397,19 @@ def check_extension(
         return True
     if semantics in (Semantics.GRD, Semantics.PREF):
         return s in enumerate_extensions(abaf, semantics, guard, nonflat_stable)
-    # admissible / complete, via subset-minimal attackers
+    # admissible / complete: an assumption is defended when the assumptions
+    # the set leaves unattacked cannot derive its contrary
     if not abaf.flat:
         raise NonFlatError(
             f"{semantics.value} checks are only supported on flat frameworks"
         )
     if not cf:
         return False
-    sup = minimal_supports(abaf)
     attacked = frozenset(a for a in abaf.assumptions if abaf.contrary[a] in th)
+    unrefuted = theory_closure(abaf, abaf.assumptions - attacked)
 
     def defends(a: int) -> bool:
-        return all(t & attacked for t in sup[abaf.contrary[a]])
+        return abaf.contrary[a] not in unrefuted
 
     if not all(defends(a) for a in s):
         return False
@@ -431,10 +441,10 @@ def projection(abaf: Abaf, sentence_set: Iterable[int]) -> Abaf:
     return Abaf(tuple(abaf.names[a] for a in order), rules, assumptions, contrary)
 
 
-def is_uninfluenced(abaf: Abaf, u: Iterable[int], guard: Optional[int] = None) -> bool:
+def is_uninfluenced(abaf: Abaf, u: Iterable[int]) -> bool:
     """True iff every derivation of a contrary of a member stays inside ``u``."""
     us = frozenset(u)
     if not us <= abaf.assumptions:
         raise ValueError("is_uninfluenced expects a set of assumptions")
-    sup = all_supports(abaf, guard=guard)
-    return all(t <= us for b in us for t in sup[abaf.contrary[b]])
+    reached = tainted(abaf, abaf.assumptions, abaf.assumptions - us)
+    return not any(abaf.contrary[b] in reached for b in us)

@@ -54,49 +54,41 @@ def _semantics(args) -> Semantics:
     return Semantics.from_token(args.semantics)
 
 
-def _auto_split_set(framework, fmt: str) -> frozenset[int]:
-    try:
-        if fmt == "aba":
-            return find_balanced_splitting(framework)
-        return find_setaf_splitting(framework)
-    except DegenerateSplit:
-        return frozenset()
-
-
 def _explicit_split_set(args, framework) -> Optional[frozenset[int]]:
     if args.split_set is None:
         return None
-    size = framework.n_atoms if hasattr(framework, "n_atoms") else framework.n_args
-    return io.parse_atom_set(_read(args.split_set), size)
+    return io.parse_atom_set(_read(args.split_set), len(framework.names))
+
+
+def _solve(fmt: str, fw, sem: Semantics, mode: str, guard: Optional[int],
+           s: Optional[frozenset[int]] = None):
+    """The one solve dispatch of ``solve`` and ``check``: the family, and the
+    split set it used (found when ``s`` is None; None in direct mode)."""
+    if mode == "direct":
+        module = aba if fmt == "aba" else setaf
+        return module.enumerate_extensions(fw, sem, guard=guard), None
+    if mode == "param" and (fmt != "aba" or sem is not Semantics.STB):
+        raise SplitkitError("parametrised solving covers stable semantics on ABA input only")
+    if s is None:
+        try:
+            if mode == "param":
+                s = find_quasi_splitting(fw).s
+            elif fmt == "aba":
+                s = find_balanced_splitting(fw)
+            else:
+                s = find_setaf_splitting(fw)
+        except DegenerateSplit:
+            s = frozenset()
+    if mode == "param":
+        return split_aba.param_split_solve(fw, s, guard=guard), s
+    module = split_aba if fmt == "aba" else split_setaf
+    return module.split_solve(fw, s, sem, guard=guard), s
 
 
 def cmd_solve(args) -> int:
     fmt, fw = _load(args)
-    sem = _semantics(args)
-    mode = args.mode
-    if mode == "param":
-        if fmt != "aba" or sem is not Semantics.STB:
-            raise SplitkitError("parametrised solving covers stable semantics on ABA input only")
-        s = _explicit_split_set(args, fw)
-        if s is None:
-            try:
-                s = find_quasi_splitting(fw).s
-            except DegenerateSplit:
-                s = frozenset()
-        exts = split_aba.param_split_solve(fw, s, guard=args.guard)
-    elif mode == "split":
-        s = _explicit_split_set(args, fw)
-        if s is None:
-            s = _auto_split_set(fw, fmt)
-        if fmt == "aba":
-            exts = split_aba.split_solve(fw, s, sem, guard=args.guard)
-        else:
-            exts = split_setaf.split_solve(fw, s, sem, guard=args.guard)
-    else:
-        if fmt == "aba":
-            exts = aba.enumerate_extensions(fw, sem, guard=args.guard)
-        else:
-            exts = setaf.enumerate_extensions(fw, sem, guard=args.guard)
+    exts, _ = _solve(fmt, fw, _semantics(args), args.mode, args.guard,
+                     _explicit_split_set(args, fw))
     _write_out(args, io.format_extensions(exts, fw.names))
     return 0
 
@@ -152,30 +144,19 @@ def cmd_gen(args) -> int:
 
 def cmd_check(args) -> int:
     sem = _semantics(args)
+    if args.count < 0:
+        raise SplitkitError(f"--count must be nonnegative, got {args.count}")
     mismatches = 0
     for i in range(args.count):
         seed = args.seed + i
         if args.format == "aba":
             fw = generate.random_abaf(seed, max_assumptions=6, max_rules=8)
-            direct = aba.enumerate_extensions(fw, sem, guard=args.guard)
-            if args.mode == "param":
-                if sem is not Semantics.STB:
-                    raise SplitkitError("param mode checks stable semantics only")
-                try:
-                    s = find_quasi_splitting(fw).s
-                except DegenerateSplit:
-                    s = frozenset()
-                via_split = split_aba.param_split_solve(fw, s, guard=args.guard)
-            else:
-                s = _auto_split_set(fw, "aba")
-                via_split = split_aba.split_solve(fw, s, sem, guard=args.guard)
             emitted = io.emit_aba(fw)
         else:
             fw = generate.random_setaf(seed, max_args=7, max_attacks=9)
-            direct = setaf.enumerate_extensions(fw, sem, guard=args.guard)
-            s = _auto_split_set(fw, "setaf")
-            via_split = split_setaf.split_solve(fw, s, sem, guard=args.guard)
             emitted = io.emit_setaf(fw)
+        via_split, s = _solve(args.format, fw, sem, args.mode, args.guard)
+        direct, _ = _solve(args.format, fw, sem, "direct", args.guard)
         if direct != via_split:
             mismatches += 1
             sys.stderr.write(f"mismatch at seed {seed} with split set "

@@ -179,11 +179,10 @@ def format_extensions(extensions: Iterable[frozenset[int]], names: tuple[str, ..
     return "\n".join(lines) + "\n"
 
 
-def parse_atom_set(text: str, abaf_or_n, line_offset: int = 0) -> frozenset[int]:
-    """One 1-based atom id per line; comments and blanks are ignored."""
-    n = abaf_or_n if isinstance(abaf_or_n, int) else abaf_or_n.n_atoms
+def parse_atom_set(text: str, n: int) -> frozenset[int]:
+    """One atom id in 1..n per line; comments and blanks are ignored."""
     out = set()
-    for line_no, raw in enumerate(text.splitlines(), start=1 + line_offset):
+    for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue

@@ -60,9 +60,6 @@ class Setaf:
     def args(self) -> frozenset[int]:
         return frozenset(range(len(self.names)))
 
-    def name(self, arg: int) -> str:
-        return self.names[arg]
-
     def arg_id(self, name: str) -> int:
         return self.names.index(name)
 

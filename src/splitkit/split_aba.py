@@ -21,15 +21,8 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Optional
 
-from splitkit.aba import (
-    Abaf,
-    Rule,
-    all_supports,
-    atom_closure,
-    enumerate_extensions,
-    minimal_supports,
-    theory_closure,
-)
+from splitkit.aba import Abaf, Rule, atom_closure, enumerate_extensions, tainted, theory_closure
+from splitkit.aba import all_supports, minimal_supports  # noqa: F401  perfbench/layers.py rebinds them here
 from splitkit.errors import (
     HeadInBodyOut,
     NonAssumptionBodyOut,
@@ -68,19 +61,17 @@ class AbaSplitting:
 
         A sentence is ruled out when every assumption set deriving it contains
         an assumption defeated by ``e`` (vacuously so for underivable ones),
-        and so are the contraries of accepted assumptions.  Ruling out merely
-        everything derivable from the defeated assumptions would be wrong in
-        both directions: facts are derivable from any set yet never ruled
-        out, and a sentence with one defeated and one untouched derivation is
-        still reachable.
+        that is, when the undefeated assumptions cannot derive it; and so are
+        the contraries of accepted assumptions.  Ruling out merely everything
+        derivable from the defeated assumptions would be wrong in both
+        directions: facts are derivable from any set yet never ruled out, and
+        a sentence with one defeated and one untouched derivation is still
+        reachable.
         """
         e = self._check_e(e)
         th = theory_closure(self.bottom, e)
-        defeated = frozenset(a for a in self.a1 if self.base.contrary[a] in th)
-        sup = minimal_supports(self.bottom)
-        blocked = frozenset(
-            p for p in self.s if all(t & defeated for t in sup[p])
-        )
+        live = frozenset(a for a in self.a1 if self.base.contrary[a] not in th)
+        blocked = self.s - theory_closure(self.bottom, live)
         return blocked | frozenset(self.base.contrary[a] for a in e)
 
     def modification(self, e: Iterable[int]) -> Abaf:
@@ -151,21 +142,15 @@ def undecided_theory(d1: Abaf, e: Iterable[int]) -> tuple[frozenset[int], frozen
     touches an undecided assumption and contains no defeated one.  The leaf
     sets here are the exact ones of derivation trees, not the minimal
     supports: a tree may force extra assumptions in, and those decide
-    membership.
+    membership.  ``tainted`` decides this over whole trees, so no leaf set is
+    listed.  The allowed leaves are the undefeated assumptions, not ``e``
+    with the undecided ones: the two agree only when ``e`` is conflict-free.
     """
     e = frozenset(e)
     th = theory_closure(d1, e)
-    ua = frozenset(a for a in d1.assumptions if a not in e and d1.contrary[a] not in th)
-    if not ua:
-        return ua, frozenset()
-    sup = all_supports(d1)
-    ut = frozenset(
-        p
-        for p in range(d1.n_atoms)
-        for t in sup[p]
-        if t & ua and not any(d1.contrary[b] in th for b in t)
-    )
-    return ua, ut
+    live = frozenset(a for a in d1.assumptions if d1.contrary[a] not in th)
+    ua = live - e
+    return ua, tainted(d1, live, ua)
 
 
 def split_solve(

@@ -14,10 +14,12 @@ from splitkit.aba import (
     minimal_supports,
     projection,
     strip_dummy_rules,
+    tainted,
     theory_closure,
     validate,
 )
 from splitkit.errors import GuardExceeded, NonFlatError, NotAtomClosed, ValidationError
+from splitkit.generate import random_abaf
 from splitkit.semantics import Semantics
 
 
@@ -136,14 +138,14 @@ def test_check_extension_examples():
 
 
 def test_check_matches_enumeration_on_all_semantics():
-    d = abaf_vuln()
-    for sem in Semantics:
-        family = set(enumerate_extensions(d, sem))
-        for mask in range(1 << len(d.assumptions)):
-            cand = frozenset(
-                a for i, a in enumerate(sorted(d.assumptions)) if mask >> i & 1
-            )
-            assert check_extension(d, cand, sem) == (cand in family)
+    for d in (abaf_vuln(), *(random_abaf(seed) for seed in range(60))):
+        for sem in Semantics:
+            family = set(enumerate_extensions(d, sem))
+            for mask in range(1 << len(d.assumptions)):
+                cand = frozenset(
+                    a for i, a in enumerate(sorted(d.assumptions)) if mask >> i & 1
+                )
+                assert check_extension(d, cand, sem) == (cand in family)
 
 
 def test_enumerate_examples():
@@ -210,6 +212,18 @@ def test_is_uninfluenced_examples():
     assert is_uninfluenced(d, ids(d, "a", "b"))
     assert not is_uninfluenced(d, ids(d, "y"))
     assert is_uninfluenced(d, frozenset())
+
+
+def test_tainted_follows_derivations_from_the_allowed_leaves():
+    d = Abaf.from_names(
+        assumptions={"a": "a_c", "b": "b_c", "c": "c_c"},
+        rules=[("p", ["a"]), ("q", ["p", "b"]), ("r", ["q", "c"]), ("a_c", ["b"])],
+    )
+    # every derivation of q uses a; r needs c, which is not allowed
+    assert nm(d, tainted(d, ids(d, "a", "b"), ids(d, "a"))) == {"a", "p", "q"}
+    # b reaches q through the derivable p, and a_c directly
+    assert nm(d, tainted(d, ids(d, "a", "b"), ids(d, "b"))) == {"b", "q", "a_c"}
+    assert tainted(d, d.assumptions, frozenset()) == frozenset()
 
 
 def test_semantics_lattice_on_examples():

@@ -185,6 +185,11 @@ def test_exit_codes(tmp_path, capsys, monkeypatch):
     d = str(tmp_path / "d.aba")
     assert main(["solve", d, "--semantics", "cf", "--mode", "split"]) == 3
     assert main(["check", "--semantics", "cf"]) == 3
+    # check shares solve's dispatch: param covers stable semantics on ABA only
+    sf = write(tmp_path, "sf.setaf", emit_setaf(setaf7()))
+    assert main(["solve", sf, "--format", "setaf", "--mode", "param", "--semantics", "adm"]) == 3
+    assert main(["check", "--format", "setaf", "--mode", "param", "--semantics", "adm"]) == 3
+    assert main(["check", "--count", "-3", "--semantics", "stb"]) == 3
     e = str(tmp_path / "e.aba")
     assert main(["gen", "--seed", "5", "--assumptions", "8", "--rules", "6", "--output", e]) == 0
     for balance in ("nan", "inf", "-3", "7"):

@@ -1,7 +1,18 @@
+import random
+
 import pytest
 
-from helpers import abaf7, abaf_chain3, abaf_vuln, fam, ids, nm
-from splitkit.aba import Abaf, check_extension, enumerate_extensions, minimal_supports
+from helpers import abaf7, abaf_chain3, abaf_vuln, fam, ids, nm, rules_nm
+from splitkit.aba import (
+    Abaf,
+    Rule,
+    all_supports,
+    check_extension,
+    enumerate_extensions,
+    is_uninfluenced,
+    minimal_supports,
+    theory_closure,
+)
 from splitkit.errors import HeadInBodyOut, NonAssumptionBodyOut, NotAtomClosed
 from splitkit.generate import random_abaf
 from splitkit.semantics import Semantics
@@ -272,6 +283,112 @@ def test_bottom_support_conservativity():
             for a in sp.a1:
                 assert whole[d.contrary[a]] == local[d.contrary[a]]
                 assert all(t <= sp.a1 for t in whole[d.contrary[a]])
+
+
+# -- derivability questions against the support tables ------------------------
+#
+# The table-based forms below are the earlier definitions, kept as the
+# reference: they quantify over the listed leaf sets that the fixpoints in
+# ``aba`` decide without listing.
+
+
+def table_undecided(d1, e):
+    th = theory_closure(d1, e)
+    ua = frozenset(a for a in d1.assumptions if a not in e and d1.contrary[a] not in th)
+    sup = all_supports(d1)
+    ut = frozenset(
+        p
+        for p in range(d1.n_atoms)
+        for t in sup[p]
+        if t & ua and not any(d1.contrary[b] in th for b in t)
+    )
+    return ua, ut
+
+
+def table_incompatible(sp, e):
+    th = theory_closure(sp.bottom, e)
+    defeated = frozenset(a for a in sp.a1 if sp.base.contrary[a] in th)
+    sup = minimal_supports(sp.bottom)
+    blocked = frozenset(p for p in sp.s if all(t & defeated for t in sup[p]))
+    return blocked | frozenset(sp.base.contrary[a] for a in e)
+
+
+def table_uninfluenced(d, u):
+    sup = all_supports(d)
+    return all(t <= u for b in u for t in sup[d.contrary[b]])
+
+
+def subsets(atoms):
+    order = sorted(atoms)
+    for mask in range(1 << len(order)):
+        yield frozenset(a for i, a in enumerate(order) if mask >> i & 1)
+
+
+def cyclic_abaf(seed):
+    """Rules with any head (assumptions too, so often non-flat), any body
+    (cycles and underivable bodies included) and contraries anywhere."""
+    rng = random.Random(seed)
+    n_assumptions = rng.randint(1, 5)
+    n = n_assumptions + rng.randint(1, 4)
+    rules = [
+        Rule(rng.randrange(n), frozenset(rng.sample(range(n), rng.randint(0, min(3, n)))))
+        for _ in range(rng.randint(0, 10))
+    ]
+    contrary = {a: rng.randrange(n) for a in range(n_assumptions)}
+    return Abaf(tuple(f"x{i}" for i in range(n)), tuple(rules),
+                frozenset(range(n_assumptions)), contrary)
+
+
+def assert_same_as_tables(d, splits):
+    for u in subsets(d.assumptions):
+        assert undecided_theory(d, u) == table_undecided(d, u)
+        assert is_uninfluenced(d, u) == table_uninfluenced(d, u)
+    for s in splits:
+        sp = make_splitting(d, s)
+        for e in subsets(sp.a1):  # conflict-free or not
+            assert sp.undecided(e) == table_undecided(sp.bottom, e)
+            assert sp.incompatible(e) == table_incompatible(sp, e)
+
+
+def test_derivability_answers_match_the_tables_on_generated_instances():
+    from splitkit.finder import splitting_sets
+
+    for seed in range(40):
+        d = random_abaf(seed, max_assumptions=5, max_rules=8)
+        assert_same_as_tables(d, splitting_sets(d, nontrivial=True))
+
+
+def test_derivability_answers_match_the_tables_on_cyclic_non_flat_instances():
+    from splitkit.finder import splitting_sets
+
+    non_flat = 0
+    for seed in range(150):
+        d = cyclic_abaf(seed)
+        non_flat += not d.flat
+        assert_same_as_tables(d, [d.atoms, *splitting_sets(d, nontrivial=True)])
+    assert non_flat > 50
+
+
+def test_modification_and_influence_past_the_guard():
+    # a chain of 21 bottom assumptions, each attacking the one below it; no
+    # question asked here needs anything exponential in them
+    chain = [f"a{i}" for i in range(1, 22)]
+    d = Abaf.from_names(
+        assumptions={**{a: f"c_{a}" for a in chain}, "x": "x_c"},
+        rules=[(f"c_{lo}", [hi]) for lo, hi in zip(chain, chain[1:])]
+        + [("x_c", ["c_a1"])],
+    )
+    s = ids(d, *chain, *(f"c_{a}" for a in chain))
+    sp = make_splitting(d, s)
+    assert len(sp.a1) == 21
+    top = sp.modification(frozenset())
+    assert rules_nm(top) == {("_cu", frozenset({"_u"})), ("x_c", frozenset({"_u"}))}
+    assert nm(d, sp.undecided(frozenset())[0]) == set(chain)
+    odd = ids(d, *chain[::2])  # the grounded choice decides everything
+    assert sp.undecided(odd) == (frozenset(), frozenset())
+    assert not sp.modification(odd).rules
+    assert is_uninfluenced(d, sp.a1) and is_uninfluenced(d, ids(d, "a21"))
+    assert not is_uninfluenced(d, ids(d, "a1")) and not is_uninfluenced(d, ids(d, "x"))
 
 
 # -- quasi-splittings ---------------------------------------------------------
