@@ -57,7 +57,7 @@ def main() -> None:
     ap.add_argument("--seeds", type=int, default=5)
     ap.add_argument("--semantics", default="stb")
     args = ap.parse_args()
-    sem = Semantics.from_token(args.semantics)
+    sem = Semantics(args.semantics)
 
     for seed in range(args.seeds):
         d = layered(seed, args.block)

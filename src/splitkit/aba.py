@@ -135,6 +135,18 @@ class Abaf:
         return cls(tuple(names), tuple(rule_objs), frozenset(assumption_ids), contrary)
 
 
+def fresh_name(taken: set[str], base: str) -> str:
+    """``base``, or ``base`` with the first suffix 2, 3, ... not in ``taken``; the
+    name is added to ``taken``."""
+    name = base
+    k = 2
+    while name in taken:
+        name = f"{base}{k}"
+        k += 1
+    taken.add(name)
+    return name
+
+
 @dataclass(frozen=True)
 class ValidationReport:
     flat: bool
@@ -158,7 +170,8 @@ def strip_dummy_rules(abaf: Abaf) -> tuple[Abaf, tuple[Rule, ...]]:
     dummies = validate(abaf).dummy_rules
     if not dummies:
         return abaf, ()
-    kept = tuple(r for r in abaf.rules if r not in set(dummies))
+    dropped = set(dummies)
+    kept = tuple(r for r in abaf.rules if r not in dropped)
     return Abaf(abaf.names, kept, abaf.assumptions, dict(abaf.contrary)), dummies
 
 
@@ -334,25 +347,19 @@ def attack_range(
 # -- semantics --------------------------------------------------------------
 
 
-def _resolve_closed(abaf: Abaf, nonflat_stable: Optional[bool]) -> bool:
-    return (not abaf.flat) if nonflat_stable is None else bool(nonflat_stable)
-
-
 def enumerate_extensions(
-    abaf: Abaf,
-    semantics: Semantics,
-    guard: Optional[int] = None,
-    nonflat_stable: Optional[bool] = None,
+    abaf: Abaf, semantics: Semantics, guard: Optional[int] = None
 ) -> tuple[frozenset[int], ...]:
-    """The family of one semantics (masks resolved to assumption sets), cached."""
-    closed = _resolve_closed(abaf, nonflat_stable)
+    """The family of one semantics (masks resolved to assumption sets), cached.
+
+    On a non-flat framework a stable extension must also be closed: it holds
+    every assumption it derives.
+    """
     if not abaf.flat and semantics not in (Semantics.CF, Semantics.STB):
         raise NonFlatError(
             f"{semantics.value} extensions are only supported on flat frameworks"
         )
-    closed_stable = semantics is Semantics.STB and closed and not abaf.flat
-    key = ("family", semantics, closed_stable)
-    if key not in abaf._cache:
+    if semantics not in abaf._cache:
         check_guard(len(abaf.assumptions), guard)
         order, index = _assumption_order(abaf)
         sup = minimal_supports(abaf)
@@ -362,20 +369,19 @@ def enumerate_extensions(
             for t in sup[abaf.contrary[a]]
         ]
         closure = []
-        if closed_stable:
+        if semantics is Semantics.STB and not abaf.flat:
             closure = [
                 (mask_of(t, index), index[a]) for a in order for t in sup[a]
             ]
         masks = compute_families(len(order), attacks, semantics, closure)
-        abaf._cache[key] = canonical_sets(unmask(m, order) for m in masks)
-    return abaf._cache[key]
+        abaf._cache[semantics] = canonical_sets(unmask(m, order) for m in masks)
+    return abaf._cache[semantics]
 
 
 def check_extension(
     abaf: Abaf,
     assumption_set: Iterable[int],
     semantics: Semantics,
-    nonflat_stable: Optional[bool] = None,
     guard: Optional[int] = None,
 ) -> bool:
     """Exact per-definition decision for a single candidate set."""
@@ -390,13 +396,10 @@ def check_extension(
         if not cf:
             return False
         attacked = frozenset(a for a in abaf.assumptions if abaf.contrary[a] in th)
-        if s | attacked != abaf.assumptions:
-            return False
-        if _resolve_closed(abaf, nonflat_stable):
-            return all(a in s for a in th & abaf.assumptions)
-        return True
+        # closed as well: vacuous on a flat framework, where no rule heads an assumption
+        return s | attacked == abaf.assumptions and th & abaf.assumptions <= s
     if semantics in (Semantics.GRD, Semantics.PREF):
-        return s in enumerate_extensions(abaf, semantics, guard, nonflat_stable)
+        return s in enumerate_extensions(abaf, semantics, guard)
     # admissible / complete: an assumption is defended when the assumptions
     # the set leaves unattacked cannot derive its contrary
     if not abaf.flat:

@@ -50,10 +50,6 @@ def _load(args) -> tuple[str, object]:
     return "setaf", io.parse_setaf(text)
 
 
-def _semantics(args) -> Semantics:
-    return Semantics.from_token(args.semantics)
-
-
 def _explicit_split_set(args, framework) -> Optional[frozenset[int]]:
     if args.split_set is None:
         return None
@@ -87,7 +83,7 @@ def _solve(fmt: str, fw, sem: Semantics, mode: str, guard: Optional[int],
 
 def cmd_solve(args) -> int:
     fmt, fw = _load(args)
-    exts, _ = _solve(fmt, fw, _semantics(args), args.mode, args.guard,
+    exts, _ = _solve(fmt, fw, Semantics(args.semantics), args.mode, args.guard,
                      _explicit_split_set(args, fw))
     _write_out(args, io.format_extensions(exts, fw.names))
     return 0
@@ -96,7 +92,8 @@ def cmd_solve(args) -> int:
 def cmd_instantiate(args) -> int:
     fmt, fw = _load(args)
     if fmt == "aba":
-        _write_out(args, io.emit_setaf(instantiate.aba_to_setaf(fw, all_tails=args.all_supports)))
+        sf = instantiate.aba_to_setaf(fw, all_tails=args.all_supports, guard=args.guard)
+        _write_out(args, io.emit_setaf(sf))
     else:
         _write_out(args, io.emit_aba(instantiate.setaf_to_aba(fw)))
     return 0
@@ -143,7 +140,7 @@ def cmd_gen(args) -> int:
 
 
 def cmd_check(args) -> int:
-    sem = _semantics(args)
+    sem = Semantics(args.semantics)
     if args.count < 0:
         raise SplitkitError(f"--count must be nonnegative, got {args.count}")
     mismatches = 0
@@ -167,13 +164,16 @@ def cmd_check(args) -> int:
     return 4 if mismatches else 0
 
 
+def _add_guard(p):
+    p.add_argument("--guard", type=int, default=None,
+                   help="enumeration guard (also via SPLITKIT_GUARD)")
+
+
 def _add_common(p, semantics: bool = True):
     p.add_argument("path", help="input file, or - for stdin")
     p.add_argument("--format", choices=("aba", "setaf"), default="aba")
     if semantics:
         p.add_argument("--semantics", choices=[s.value for s in Semantics], required=True)
-    p.add_argument("--guard", type=int, default=None,
-                   help="enumeration guard (also via SPLITKIT_GUARD)")
     p.add_argument("--strict-dummy", action="store_true",
                    help="reject instead of stripping dummy rules")
     p.add_argument("--output", default=None, help="write results here instead of stdout")
@@ -185,12 +185,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("solve", parents=[], help="enumerate extensions")
     _add_common(p)
+    _add_guard(p)
     p.add_argument("--mode", choices=("direct", "split", "param"), default="direct")
     p.add_argument("--split-set", default=None, help="file with one atom id per line")
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("instantiate", help="translate between ABA and SETAF")
     _add_common(p, semantics=False)
+    _add_guard(p)
     p.add_argument("--all-supports", action="store_true",
                    help="emit every derivation tail, not only the minimal ones")
     p.set_defaults(func=cmd_instantiate)
@@ -224,7 +226,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--semantics", choices=[s.value for s in Semantics], required=True)
     p.add_argument("--count", type=int, default=20)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--guard", type=int, default=None)
+    _add_guard(p)
     p.set_defaults(func=cmd_check)
 
     return parser

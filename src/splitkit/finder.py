@@ -26,7 +26,7 @@ from splitkit.errors import DegenerateSplit, InvalidBalance
 from splitkit.graphs import Digraph, condense, max_flow, order_ideals, topo_prefix_ideals
 from splitkit.semantics import unmask
 from splitkit.setaf import Setaf, primal_graph
-from splitkit.split_aba import QuasiSplitting, make_quasi_splitting, make_splitting
+from splitkit.split_aba import QuasiSplitting, make_quasi_splitting, make_splitting, vulnerabilities
 from splitkit.split_setaf import make_splitting as make_setaf_splitting
 
 EXACT_GROUP_LIMIT = 16
@@ -157,36 +157,13 @@ def pair_contracted(abaf: Abaf) -> _Contracted:
     return _Contracted(groups, tuple(group_of))
 
 
-def _quasi_cost(abaf: Abaf, heads: set[int], s: frozenset[int]) -> Optional[int]:
-    """Number of vulnerabilities of a candidate set, or None if not quasi-valid.
-
-    ``heads`` holds the head of every rule of ``abaf``.
-    """
-    vulnerable: set[int] = set()
-    for r in abaf.rules:
-        if r.head not in s:
-            continue
-        for b in r.body:
-            if b in s:
-                continue
-            if b not in abaf.assumptions:
-                return None
-            if abaf.contrary[b] in heads:
-                vulnerable.add(b)
-    return len(vulnerable)
-
-
-def find_quasi_splitting(
-    abaf: Abaf,
-    lo: float = 0.25,
-    hi: float = 0.75,
-    method: str = "auto",
-) -> QuasiSplitting:
+def find_quasi_splitting(abaf: Abaf, lo: float = 0.25, hi: float = 0.75) -> QuasiSplitting:
     """A quasi-splitting with as few vulnerabilities as the balance window allows.
 
-    Exhaustive over the contracted groups at desk scale; anchored max-flow
-    min-cuts otherwise.  Trivial sets are never returned; if the window is
-    unsatisfiable the globally best nontrivial candidate is used instead.
+    Exhaustive over the contracted groups when there are at most
+    ``EXACT_GROUP_LIMIT`` of them; anchored max-flow min-cuts otherwise.
+    Trivial sets are never returned; if the window is unsatisfiable the
+    globally best nontrivial candidate is used instead.
     """
     if not (math.isfinite(lo) and math.isfinite(hi) and lo <= hi):
         raise InvalidBalance(f"balance window must be finite with lo <= hi, got [{lo}, {hi}]")
@@ -195,7 +172,7 @@ def find_quasi_splitting(
     if m <= 1:
         raise DegenerateSplit("framework contracts to a single group")
     heads = {r.head for r in abaf.rules}
-    if method == "exact" or (method == "auto" and m <= EXACT_GROUP_LIMIT):
+    if m <= EXACT_GROUP_LIMIT:
         candidates = _quasi_exact(abaf, con, heads)
     else:
         candidates = _quasi_flow(abaf, con, heads)
@@ -224,9 +201,9 @@ def _quasi_exact(
     out = []
     for mask in range(1, (1 << m) - 1):
         atoms = frozenset().union(*(con.groups[i] for i in range(m) if mask >> i & 1))
-        k = _quasi_cost(abaf, heads, atoms)
-        if k is not None:
-            out.append((k, atoms))
+        vulnerable = vulnerabilities(abaf, atoms, heads)
+        if vulnerable is not None:
+            out.append((len(vulnerable), atoms))
     return out
 
 
@@ -273,7 +250,7 @@ def _quasi_flow(
             if not atoms or atoms == abaf.atoms or atoms in seen:
                 continue
             seen.add(atoms)
-            k = _quasi_cost(abaf, heads, atoms)
-            if k is not None:
-                out.append((k, atoms))
+            vulnerable = vulnerabilities(abaf, atoms, heads)
+            if vulnerable is not None:
+                out.append((len(vulnerable), atoms))
     return out

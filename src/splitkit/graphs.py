@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 
@@ -77,12 +77,7 @@ def tarjan_scc(n: int, successors: Sequence[Sequence[int]]) -> list[list[int]]:
 class Condensation:
     sccs: tuple[frozenset[int], ...]
     dag_edges: frozenset[tuple[int, int]]
-    weights: tuple[int, ...]
-    topo_order: tuple[int, ...] = field(default=())
-
-    def __post_init__(self):
-        if not self.topo_order:
-            self.topo_order = _topological_order(len(self.sccs), self.dag_edges)
+    topo_order: tuple[int, ...]
 
 
 def _topological_order(n: int, edges: Iterable[tuple[int, int]]) -> tuple[int, ...]:
@@ -106,7 +101,7 @@ def _topological_order(n: int, edges: Iterable[tuple[int, int]]) -> tuple[int, .
 
 
 def condense(g: Digraph) -> Condensation:
-    """Contract every SCC to a single weighted vertex; the result is acyclic."""
+    """Contract every SCC to a single vertex; the result is acyclic."""
     comps = tarjan_scc(g.n, g.successors())
     comps = sorted((sorted(c) for c in comps), key=lambda c: c[0])
     member = {}
@@ -119,7 +114,7 @@ def condense(g: Digraph) -> Condensation:
     return Condensation(
         sccs=tuple(frozenset(c) for c in comps),
         dag_edges=dag_edges,
-        weights=tuple(len(c) for c in comps),
+        topo_order=_topological_order(len(comps), dag_edges),
     )
 
 

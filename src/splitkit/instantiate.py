@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from splitkit.aba import Abaf, Rule, all_supports, minimal_supports
+from splitkit.aba import Abaf, Rule, all_supports, fresh_name, minimal_supports
 from splitkit.errors import NonFlatError, ValidationError
 from splitkit.setaf import Setaf
 
@@ -42,13 +42,7 @@ def setaf_to_aba(sf: Setaf) -> Abaf:
     taken = set(names)
     contrary: dict[int, int] = {}
     for i, base in enumerate(sf.names):
-        fresh = f"c_{base}"
-        k = 2
-        while fresh in taken:
-            fresh = f"c_{base}{k}"
-            k += 1
-        taken.add(fresh)
         contrary[i] = len(names)
-        names.append(fresh)
+        names.append(fresh_name(taken, f"c_{base}"))
     rules = tuple(Rule(contrary[h], frozenset(t)) for t, h in sf.attacks)
     return Abaf(tuple(names), rules, frozenset(range(sf.n_args)), contrary)

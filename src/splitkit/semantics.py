@@ -36,13 +36,6 @@ class Semantics(Enum):
     PREF = "prf"
     STB = "stb"
 
-    @classmethod
-    def from_token(cls, token: str) -> "Semantics":
-        for sem in cls:
-            if sem.value == token:
-                return sem
-        raise ValueError(f"unknown semantics token {token!r}")
-
 
 def resolve_guard(guard: int | str | None) -> int:
     if guard is None:

@@ -21,7 +21,9 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Optional
 
-from splitkit.aba import Abaf, Rule, atom_closure, enumerate_extensions, tainted, theory_closure
+from splitkit.aba import (
+    Abaf, Rule, atom_closure, enumerate_extensions, fresh_name, tainted, theory_closure,
+)
 from splitkit.aba import all_supports, minimal_supports  # noqa: F401  perfbench/layers.py rebinds them here
 from splitkit.errors import (
     HeadInBodyOut,
@@ -190,10 +192,10 @@ class QuasiSplitting:
         marker_of: dict[int, int] = {}
         marker_contrary: dict[int, int] = {}
         for b in sorted(self.vulnerabilities):
-            m_name = _fresh(taken, f"{self.base.names[b]}'")
+            m_name = fresh_name(taken, f"{self.base.names[b]}'")
             marker_of[b] = len(names)
             names.append(m_name)
-            c_name = _fresh(taken, f"c_{m_name}")
+            c_name = fresh_name(taken, f"c_{m_name}")
             marker_contrary[b] = len(names)
             names.append(c_name)
         rules = [Rule(r.head, r.body & self.l1) for r in self.r1]
@@ -258,6 +260,29 @@ class QuasiSplitting:
         return (ext & self.a1) | markers
 
 
+def vulnerabilities(abaf: Abaf, s: frozenset[int], heads: set[int]) -> Optional[frozenset[int]]:
+    """The vulnerabilities of ``s``, or None if ``s`` is no quasi-splitting set.
+
+    A vulnerability is an assumption outside ``s`` in the body of a rule
+    headed in ``s`` whose contrary the top derives.  ``heads`` holds the head
+    of every rule of ``abaf``; for an atom-closed ``s`` the contrary lies
+    outside ``s``, so any rule heading it is a top rule.  A non-assumption
+    body atom outside ``s`` of such a rule makes ``s`` invalid.
+    """
+    vulnerable: set[int] = set()
+    for r in abaf.rules:
+        if r.head not in s:
+            continue
+        for b in r.body:
+            if b in s:
+                continue
+            if b not in abaf.assumptions:
+                return None
+            if abaf.contrary[b] in heads:
+                vulnerable.add(b)
+    return frozenset(vulnerable)
+
+
 def make_quasi_splitting(abaf: Abaf, sentence_set: Iterable[int]) -> QuasiSplitting:
     s = frozenset(sentence_set)
     if not s <= abaf.atoms:
@@ -273,15 +298,7 @@ def make_quasi_splitting(abaf: Abaf, sentence_set: Iterable[int]) -> QuasiSplitt
             r1.append(r)
         else:
             r2.append(r)
-    heads = {r.head for r in abaf.rules}
-    vulnerable = frozenset(
-        b
-        for r in r1
-        for b in r.body & abaf.assumptions
-        if b not in s
-        and abaf.contrary[b] in heads
-        and any(r2_.head == abaf.contrary[b] and r2_ != r for r2_ in abaf.rules)
-    )
+    vulnerable = vulnerabilities(abaf, s, {r.head for r in abaf.rules})
     l1 = s | vulnerable | frozenset(abaf.contrary[b] for b in vulnerable)
     a1 = (s & abaf.assumptions) | vulnerable
     a2 = abaf.assumptions - s
@@ -300,18 +317,8 @@ def param_split_solve(
     return make_quasi_splitting(abaf, sentence_set).solve(guard, sub_solver)
 
 
-def _fresh(taken: set[str], base: str) -> str:
-    name = base
-    k = 2
-    while name in taken:
-        name = f"{base}{k}"
-        k += 1
-    taken.add(name)
-    return name
-
-
 def _with_fresh_pair(names: tuple[str, ...], first: str, second: str) -> tuple[tuple[str, ...], int, int]:
     taken = set(names)
-    a = _fresh(taken, first)
-    b = _fresh(taken, second)
+    a = fresh_name(taken, first)
+    b = fresh_name(taken, second)
     return names + (a, b), len(names), len(names) + 1

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
-from splitkit.aba import Abaf
+import random
+
+from splitkit.aba import Abaf, Rule
 from splitkit.setaf import Setaf
 
 
@@ -63,6 +65,21 @@ def abaf_chain3() -> Abaf:
             ("a_c", ["a"]),
         ],
     )
+
+
+def cyclic_abaf(seed: int) -> Abaf:
+    """Rules with any head (assumptions too, so often non-flat), any body
+    (cycles and underivable bodies included) and contraries anywhere."""
+    rng = random.Random(seed)
+    n_assumptions = rng.randint(1, 5)
+    n = n_assumptions + rng.randint(1, 4)
+    rules = [
+        Rule(rng.randrange(n), frozenset(rng.sample(range(n), rng.randint(0, min(3, n)))))
+        for _ in range(rng.randint(0, 10))
+    ]
+    contrary = {a: rng.randrange(n) for a in range(n_assumptions)}
+    return Abaf(tuple(f"x{i}" for i in range(n)), tuple(rules),
+                frozenset(range(n_assumptions)), contrary)
 
 
 def ids(fw, *names) -> frozenset[int]:

@@ -271,9 +271,7 @@ def test_c09_parametrised_splitting_suite(suite9):
             for e in direct:
                 e1 = q.witness_bottom(e)
                 assert e1 in stb_exp
-                assert aba_check(
-                    q.top_for(e1), e & q.a2, Semantics.STB, nonflat_stable=True
-                )
+                assert aba_check(q.top_for(e1), e & q.a2, Semantics.STB)
     elapsed = time.time() - start
     assert elapsed < 120
     report(9, f"{len(suite9)} ABAFs, {checked} quasi-splittings with k<=2, {elapsed:.1f}s")

@@ -201,6 +201,9 @@ def test_exit_codes(tmp_path, capsys, monkeypatch):
     with pytest.raises(SystemExit) as err:
         main(["solve", "--no-such-flag"])
     assert err.value.code == 1
+    with pytest.raises(SystemExit) as err:  # the finder never enumerates
+        main(["find-split", e, "--guard", "1"])
+    assert err.value.code == 1
     capsys.readouterr()
 
 
@@ -211,6 +214,10 @@ def test_guard_flag_and_env(tmp_path, capsys, monkeypatch):
     assert main(["solve", path, "--semantics", "prf"]) == 3
     monkeypatch.setenv("SPLITKIT_GUARD", "20")
     assert main(["solve", path, "--semantics", "prf"]) == 0
+    for guard in ("3", "-5"):  # exceeded, malformed
+        assert main(["instantiate", path, "--all-supports", "--guard", guard]) == 3
+    monkeypatch.setenv("SPLITKIT_GUARD", "3")
+    assert main(["instantiate", path, "--all-supports"]) == 3
     capsys.readouterr()
 
 

@@ -1,6 +1,7 @@
 import pytest
 
-from helpers import abaf7, abaf_chain3, abaf_vuln, ids, nm, setaf7
+from helpers import abaf7, abaf_chain3, abaf_vuln, cyclic_abaf, ids, nm, setaf7
+from splitkit import finder
 from splitkit.aba import Abaf
 from splitkit.errors import DegenerateSplit, NonAssumptionBodyOut, NotAtomClosed, ValidationError
 from splitkit.finder import (
@@ -220,7 +221,7 @@ def test_find_quasi_prefers_proper_splitting_when_available():
     assert q.k == 0
 
 
-def test_find_quasi_matches_exhaustive_cut_oracle_on_star():
+def test_find_quasi_matches_exhaustive_cut_oracle_on_star(monkeypatch):
     # star-shaped mutual dependencies: every leaf's contrary is derived from
     # the hub and vice versa, so any balanced cut pays for crossings
     d = Abaf.from_names(
@@ -235,21 +236,57 @@ def test_find_quasi_matches_exhaustive_cut_oracle_on_star():
     assert oracle is not None
     q = find_quasi_splitting(d, lo=lo, hi=hi)
     assert q.k == oracle
-    q_flow = find_quasi_splitting(d, lo=lo, hi=hi, method="flow")
+    monkeypatch.setattr(finder, "EXACT_GROUP_LIMIT", 0)  # force the max-flow path
+    q_flow = find_quasi_splitting(d, lo=lo, hi=hi)
     assert q_flow.k == oracle
 
 
-def test_flow_method_matches_exact_on_random_instances():
+def test_flow_method_matches_exact_on_random_instances(monkeypatch):
     for seed in range(20):
         d = random_abaf(seed, max_assumptions=5, max_rules=8)
         if len(pair_contracted(d).groups) <= 1:
             continue
-        exact = find_quasi_splitting(d, method="exact")
-        flow = find_quasi_splitting(d, method="flow")
+        monkeypatch.setattr(finder, "EXACT_GROUP_LIMIT", d.n_atoms)
+        exact = find_quasi_splitting(d)
+        monkeypatch.setattr(finder, "EXACT_GROUP_LIMIT", 0)
+        flow = find_quasi_splitting(d)
         oracle = exhaustive_min_k(d, 0.25, 0.75)
         if oracle is not None:
             assert exact.k == oracle
             assert flow.k >= exact.k  # anchored cuts may miss ties, never beat
+
+
+def paper_k(d, atoms):
+    """Vulnerabilities as the paper counts them: assumptions outside the set in
+    the bodies of bottom rules whose contraries a top rule derives."""
+    top_heads = {r.head for r in d.rules if r.head not in atoms}
+    return len({
+        b for r in d.rules if r.head in atoms
+        for b in r.body & d.assumptions - atoms if d.contrary[b] in top_heads
+    })
+
+
+def test_finder_cost_is_the_quasi_splitting_k():
+    frameworks = [random_abaf(seed, max_assumptions=5, max_rules=8) for seed in range(60)]
+    frameworks += [cyclic_abaf(seed) for seed in range(150)]
+    assert sum(not d.flat for d in frameworks) > 50
+    for d in frameworks:
+        con = pair_contracted(d)
+        if len(con.groups) <= 1:
+            continue
+        heads = {r.head for r in d.rules}
+        costs = {atoms: k for k, atoms in finder._quasi_exact(d, con, heads)}
+        for k, atoms in finder._quasi_flow(d, con, heads):
+            assert costs[atoms] == k
+        m = len(con.groups)
+        for mask in range(1, (1 << m) - 1):
+            atoms = frozenset().union(*(con.groups[i] for i in range(m) if mask >> i & 1))
+            try:
+                q = make_quasi_splitting(d, atoms)
+            except NonAssumptionBodyOut:
+                assert atoms not in costs
+                continue
+            assert costs[atoms] == q.k == paper_k(d, atoms)
 
 
 def test_find_quasi_degenerate():

@@ -1,9 +1,12 @@
 """The scripts cited as evidence in ROADMAP.md and CHANGES.md still run.
 
-Each runs as a subprocess on a small input and must exit 0; both scripts
-assert their own split-versus-direct agreement.
+Each runs as a subprocess on a small input, in a temporary directory, and
+must exit 0; the first two assert their own split-versus-direct agreement.
+``bench_kernel.py`` writes its timings to the temporary directory, not to the
+committed ``BENCH_kernel.json``.
 """
 
+import json
 import os
 import subprocess
 import sys
@@ -17,12 +20,15 @@ ROOT = Path(__file__).resolve().parent.parent
 @pytest.mark.parametrize("script,args", [
     ("check_equivalence.py", ["--count", "40"]),
     ("bench_split.py", ["--block", "4", "--seeds", "2"]),
+    ("bench_kernel.py", ["--label", "test", "--out", "k.json"]),
 ])
-def test_script_runs_clean(script, args):
+def test_script_runs_clean(script, args, tmp_path):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     done = subprocess.run(
         [sys.executable, str(ROOT / "scripts" / script), *args],
-        env=env, capture_output=True, text=True, timeout=60,
+        env=env, cwd=tmp_path, capture_output=True, text=True, timeout=60,
     )
     assert done.returncode == 0, done.stdout + done.stderr
+    if script == "bench_kernel.py":
+        assert "test" in json.loads((tmp_path / "k.json").read_text())["runs"]

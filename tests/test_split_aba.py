@@ -1,8 +1,6 @@
-import random
-
 import pytest
 
-from helpers import abaf7, abaf_chain3, abaf_vuln, fam, ids, nm, rules_nm
+from helpers import abaf7, abaf_chain3, abaf_vuln, cyclic_abaf, fam, ids, nm, rules_nm
 from splitkit.aba import (
     Abaf,
     Rule,
@@ -324,21 +322,6 @@ def subsets(atoms):
         yield frozenset(a for i, a in enumerate(order) if mask >> i & 1)
 
 
-def cyclic_abaf(seed):
-    """Rules with any head (assumptions too, so often non-flat), any body
-    (cycles and underivable bodies included) and contraries anywhere."""
-    rng = random.Random(seed)
-    n_assumptions = rng.randint(1, 5)
-    n = n_assumptions + rng.randint(1, 4)
-    rules = [
-        Rule(rng.randrange(n), frozenset(rng.sample(range(n), rng.randint(0, min(3, n)))))
-        for _ in range(rng.randint(0, 10))
-    ]
-    contrary = {a: rng.randrange(n) for a in range(n_assumptions)}
-    return Abaf(tuple(f"x{i}" for i in range(n)), tuple(rules),
-                frozenset(range(n_assumptions)), contrary)
-
-
 def assert_same_as_tables(d, splits):
     for u in subsets(d.assumptions):
         assert undecided_theory(d, u) == table_undecided(d, u)
@@ -509,7 +492,7 @@ def test_param_split_witness_recovery():
         e1 = q.witness_bottom(e)
         assert e1 in enumerate_extensions(exp, Semantics.STB)
         top = q.top_for(e1)
-        assert check_extension(top, e & q.a2, Semantics.STB, nonflat_stable=True)
+        assert check_extension(top, e & q.a2, Semantics.STB)
 
 
 def test_param_regression_circular_top_rule():
