@@ -1,0 +1,100 @@
+#!/usr/bin/env python3
+"""Time the three finders alone on two-block stacks.
+
+Rows: the ``bench_split.layered`` stacks of blocks 8 and 9 (16 and 18
+assumptions), generator seeds 0-19.  On each stack the script times
+``find_balanced_splitting``, ``find_setaf_splitting`` on the stack's SETAF
+instantiation and ``find_quasi_splitting``, each as the median of three
+calls, and counts the ``max_flow`` calls of one quasi call.  The size of each
+chosen set, and the quasi k, show that two runs chose alike.
+
+The run is stored under ``--label`` in ``--out``; runs under other labels
+already in that file are kept, so one file can hold the same rows timed on
+two trees of the program, each run with its own ``PYTHONPATH``:
+
+    PYTHONPATH=src python3 scripts/bench_finder.py --label change
+"""
+
+import argparse
+import json
+import os
+import platform
+import statistics
+import time
+
+from bench_split import layered
+from splitkit import finder
+from splitkit.instantiate import aba_to_setaf
+
+BLOCKS = (8, 9)
+SEEDS = range(20)
+REPEATS = 3
+
+
+def timed(find, fw) -> tuple[float, object]:
+    times, chosen = [], None
+    for _ in range(REPEATS):
+        start = time.perf_counter()
+        chosen = find(fw)
+        times.append((time.perf_counter() - start) * 1000.0)
+    return round(statistics.median(times), 3), chosen
+
+
+def main() -> None:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--label", required=True, help="name of this run, e.g. parent or change")
+    ap.add_argument("--out", default="BENCH_finder.json")
+    args = ap.parse_args()
+
+    flows = 0
+    max_flow = finder.max_flow
+
+    def counted(*fargs):
+        nonlocal flows
+        flows += 1
+        return max_flow(*fargs)
+
+    finder.max_flow = counted  # the finder calls it through its module globals
+    rows = []
+    for block in BLOCKS:
+        for seed in SEEDS:
+            d = layered(seed, block)
+            sf = aba_to_setaf(d)
+            balanced_ms, s = timed(finder.find_balanced_splitting, d)
+            setaf_ms, a1 = timed(finder.find_setaf_splitting, sf)
+            flows = 0
+            quasi_ms, q = timed(finder.find_quasi_splitting, d)
+            row = {
+                "block": block, "seed": seed, "atoms": d.n_atoms,
+                "balanced_ms": balanced_ms, "balanced_size": len(s),
+                "setaf_ms": setaf_ms, "setaf_size": len(a1),
+                "quasi_ms": quasi_ms, "quasi_size": len(q.s), "quasi_k": q.k,
+                "max_flow_calls": flows // REPEATS,
+            }
+            rows.append(row)
+            print(json.dumps(row), flush=True)
+    totals = {
+        key: round(sum(row[key] for row in rows), 3)
+        for key in ("balanced_ms", "setaf_ms", "quasi_ms", "max_flow_calls")
+    }
+    print(json.dumps({"totals": totals}), flush=True)
+
+    doc = {"script": "scripts/bench_finder.py", "runs": {}}
+    if os.path.exists(args.out):
+        with open(args.out) as fh:
+            doc = json.load(fh)
+    doc["runs"][args.label] = {
+        "python": platform.python_version(),
+        "machine": platform.machine(),
+        "cpus": os.cpu_count(),
+        "repeats": REPEATS,
+        "totals": totals,
+        "rows": rows,
+    }
+    with open(args.out, "w") as fh:
+        json.dump(doc, fh, indent=1)
+        fh.write("\n")
+
+
+if __name__ == "__main__":
+    main()

@@ -20,7 +20,7 @@ from splitkit.finder import (
     find_setaf_splitting,
 )
 from splitkit.graphs import to_dot
-from splitkit.semantics import Semantics
+from splitkit.semantics import Semantics, resolve_guard
 from splitkit.setaf import primal_graph
 
 
@@ -90,6 +90,7 @@ def cmd_solve(args) -> int:
 
 
 def cmd_instantiate(args) -> int:
+    resolve_guard(args.guard)  # a malformed guard fails even where nothing enumerates
     fmt, fw = _load(args)
     if fmt == "aba":
         sf = instantiate.aba_to_setaf(fw, all_tails=args.all_supports, guard=args.guard)

@@ -12,7 +12,7 @@ their rule heads.  Finding one with few vulnerabilities is a minimum-cut
 problem on the pair-contracted dependency graph: crossing a vulnerable
 assumption (one whose contrary heads a rule) costs one, everything else is
 rigid or free.  At desk scale the finder enumerates partitions exactly; on
-bigger inputs it anchors augmenting-path max-flow cuts on node pairs.
+bigger inputs it takes the minimal minimum cuts anchored on pairs of groups.
 """
 
 from __future__ import annotations
@@ -23,7 +23,14 @@ from typing import Optional
 
 from splitkit.aba import Abaf
 from splitkit.errors import DegenerateSplit, InvalidBalance
-from splitkit.graphs import Digraph, condense, max_flow, order_ideals, topo_prefix_ideals
+from splitkit.graphs import (
+    Digraph,
+    condense,
+    max_flow,
+    order_ideals,
+    reachable,
+    topo_prefix_ideals,
+)
 from splitkit.semantics import unmask
 from splitkit.setaf import Setaf, primal_graph
 from splitkit.split_aba import QuasiSplitting, make_quasi_splitting, make_splitting, vulnerabilities
@@ -97,14 +104,21 @@ def _most_balanced(ideals: list[int], total: int, target: float) -> frozenset[in
     """The first of the nontrivial ideals in ``balanced_candidates`` order.
 
     The score depends on the size alone, so the best size is found from the
-    bit counts, and only the ideals of that size become sets for the tie-break.
+    bit counts.  Of two sets of one size, the one with the lower sorted tuple
+    holds the lowest element of their symmetric difference, so the tie-break
+    runs on the masks and only the winner becomes a set.
     """
     masks = _nontrivial(ideals, total)
     if not masks:
         raise DegenerateSplit("only the trivial splittings exist")
-    best = min({m.bit_count() for m in masks}, key=lambda k: (_score(k, total, target), k))
-    tied = (unmask(m, range(total)) for m in masks if m.bit_count() == best)
-    return min(tied, key=lambda s: tuple(sorted(s)))
+    sizes = [m.bit_count() for m in masks]
+    best = min(set(sizes), key=lambda k: (_score(k, total, target), k))
+    tied = [m for k, m in zip(sizes, masks) if k == best]
+    win = tied[0]
+    for m in tied:
+        if m & (m ^ win) & -(m ^ win):
+            win = m
+    return unmask(win, range(total))
 
 
 def find_balanced_splitting(abaf: Abaf, target: float = 0.5) -> frozenset[int]:
@@ -210,6 +224,22 @@ def _quasi_exact(
 def _quasi_flow(
     abaf: Abaf, con: _Contracted, heads: set[int]
 ) -> list[tuple[int, frozenset[int]]]:
+    """Candidates from the minimal minimum cuts between pairs of groups.
+
+    The network has a node per contracted group and a charge node per body
+    assumption outside its rule's head group.  A rule links its head group
+    to each body group: a non-assumption body atom by a rigid arc (capacity
+    ``inf``, never on a finite cut), an assumption through its charge node,
+    whose arc onwards costs 1 if a rule heads the contrary and 0 if not.
+    Those weights only steer which cuts are found; each candidate's k is
+    counted by ``split_aba.vulnerabilities``.
+
+    For each source group ``gs``, every other group ``gt`` anchors a cut.  If
+    ``gs`` reaches ``gt`` over no path of positive capacity, the flow is 0
+    and the cut's side is what ``gs`` reaches, one candidate for all such
+    ``gt``.  If ``gs`` reaches ``gt`` over rigid arcs alone, no cut is
+    finite and the pair gives none.  Only the other pairs run ``max_flow``.
+    """
     m = len(con.groups)
     charge_node: dict[int, int] = {}
     next_id = m
@@ -230,24 +260,25 @@ def _quasi_flow(
                     weight = 1 if abaf.contrary[b] in heads else 0
                     arcs[(charge_node[b], gb)] = weight
                 arcs[(gh, charge_node[b])] = inf
-    source, sink = next_id, next_id + 1
-    n_nodes = next_id + 2
+    positive: list[list[int]] = [[] for _ in range(next_id)]
+    rigid: list[list[int]] = [[] for _ in range(next_id)]
+    for (u, v), c in arcs.items():
+        if c > 0:
+            positive[u].append(v)
+        if c >= inf:
+            rigid[u].append(v)
     seen: set[frozenset[int]] = set()
     out: list[tuple[int, frozenset[int]]] = []
     for gs in range(m):
-        for gt in range(m):
-            if gs == gt:
-                continue
-            trial = dict(arcs)
-            trial[(source, gs)] = inf
-            trial[(gt, sink)] = inf
-            value, side = max_flow(n_nodes, trial, source, sink)
-            if value >= inf:
-                continue  # anchors are rigidly connected
-            atoms = frozenset().union(
-                *(con.groups[i] for i in range(m) if i in side)
-            )
-            if not atoms or atoms == abaf.atoms or atoms in seen:
+        reach = reachable(positive, gs)
+        rigid_reach = reachable(rigid, gs)
+        sides = [reach] + [
+            max_flow(next_id, arcs, gs, gt)[1]
+            for gt in range(m) if gt in reach and gt not in rigid_reach
+        ]
+        for side in sides:
+            atoms = frozenset().union(*(con.groups[i] for i in side if i < m))
+            if atoms == abaf.atoms or atoms in seen:
                 continue
             seen.add(atoms)
             vulnerable = vulnerabilities(abaf, atoms, heads)

@@ -1,4 +1,4 @@
-"""Directed-graph utilities: SCC condensation, order ideals, max-flow, DOT."""
+"""Directed-graph utilities: SCC condensation, order ideals, reachability, max-flow, DOT."""
 
 from __future__ import annotations
 
@@ -173,36 +173,61 @@ def _mask(vertices: Iterable[int]) -> int:
     return sum(1 << v for v in vertices)
 
 
+def reachable(successors: Sequence[Sequence[int]], root: int) -> set[int]:
+    """The vertices reachable from ``root``, ``root`` included."""
+    seen = {root}
+    stack = [root]
+    while stack:
+        for v in successors[stack.pop()]:
+            if v not in seen:
+                seen.add(v)
+                stack.append(v)
+    return seen
+
+
 def max_flow(n: int, arcs: dict[tuple[int, int], int], source: int, sink: int) -> tuple[int, set[int]]:
-    """Edmonds-Karp max-flow; returns the flow value and the source-side cut."""
-    cap = dict(arcs)
-    adj: list[set[int]] = [set() for _ in range(n)]
-    for (u, v) in arcs:
-        adj[u].add(v)
-        adj[v].add(u)
-        cap.setdefault((v, u), 0)
+    """Edmonds-Karp max-flow: the flow value and the minimal minimum cut.
+
+    The cut is given by its source side, the nodes still reachable from
+    ``source`` over arcs with residual capacity.  That side is the
+    intersection of the source sides of all minimum cuts, so it is the same
+    for every maximum flow; with no path of positive capacity it is the set
+    reachable from ``source``.  Arc ``e`` and its reverse ``e ^ 1`` sit
+    side by side in the residual lists.
+    """
+    head: list[int] = []
+    cap: list[int] = []
+    out: list[list[int]] = [[] for _ in range(n)]
+    for (u, v), c in arcs.items():
+        out[u].append(len(head))
+        head.append(v)
+        cap.append(c)
+        out[v].append(len(head))
+        head.append(u)
+        cap.append(0)
     flow = 0
     while True:
-        parent = {source: source}
+        via = {source: -1}  # each reached node's entering arc
         queue = deque([source])
-        while queue and sink not in parent:
+        while queue and sink not in via:
             u = queue.popleft()
-            for v in adj[u]:
-                if v not in parent and cap.get((u, v), 0) > 0:
-                    parent[v] = u
+            for e in out[u]:
+                v = head[e]
+                if cap[e] > 0 and v not in via:
+                    via[v] = e
                     queue.append(v)
-        if sink not in parent:
-            reachable = set(parent)
-            return flow, reachable
-        path = [sink]
-        while path[-1] != source:
-            path.append(parent[path[-1]])
-        path.reverse()
-        bottleneck = min(cap[(path[i], path[i + 1])] for i in range(len(path) - 1))
-        for i in range(len(path) - 1):
-            u, v = path[i], path[i + 1]
-            cap[(u, v)] -= bottleneck
-            cap[(v, u)] += bottleneck
+        if sink not in via:
+            return flow, set(via)
+        path = []
+        v = sink
+        while v != source:
+            e = via[v]
+            path.append(e)
+            v = head[e ^ 1]
+        bottleneck = min(cap[e] for e in path)
+        for e in path:
+            cap[e] -= bottleneck
+            cap[e ^ 1] += bottleneck
         flow += bottleneck
 
 

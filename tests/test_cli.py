@@ -218,6 +218,16 @@ def test_guard_flag_and_env(tmp_path, capsys, monkeypatch):
         assert main(["instantiate", path, "--all-supports", "--guard", guard]) == 3
     monkeypatch.setenv("SPLITKIT_GUARD", "3")
     assert main(["instantiate", path, "--all-supports"]) == 3
+    monkeypatch.delenv("SPLITKIT_GUARD")
+    # a malformed guard fails although nothing enumerates
+    gen = str(tmp_path / "g.aba")
+    assert main(["gen", "--seed", "3", "--output", gen]) == 0
+    image = str(tmp_path / "g.setaf")
+    assert main(["instantiate", gen, "--output", image]) == 0
+    assert main(["instantiate", gen, "--guard", "-5"]) == 3
+    assert main(["instantiate", "--format", "setaf", image, "--guard", "-5"]) == 3
+    monkeypatch.setenv("SPLITKIT_GUARD", "abc")
+    assert main(["instantiate", gen]) == 3
     capsys.readouterr()
 
 

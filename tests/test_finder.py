@@ -1,3 +1,6 @@
+import importlib.util
+from pathlib import Path
+
 import pytest
 
 from helpers import abaf7, abaf_chain3, abaf_vuln, cyclic_abaf, ids, nm, setaf7
@@ -16,9 +19,9 @@ from splitkit.finder import (
     splitting_sets,
 )
 from splitkit.generate import random_abaf, random_setaf
-from splitkit.graphs import condense, order_ideals
+from splitkit.graphs import condense, max_flow, order_ideals
 from splitkit.setaf import Setaf
-from splitkit.split_aba import make_quasi_splitting, make_splitting
+from splitkit.split_aba import make_quasi_splitting, make_splitting, vulnerabilities
 from splitkit.split_setaf import make_splitting as make_setaf_splitting
 
 
@@ -287,6 +290,100 @@ def test_finder_cost_is_the_quasi_splitting_k():
                 assert atoms not in costs
                 continue
             assert costs[atoms] == q.k == paper_k(d, atoms)
+
+
+def all_pairs_quasi_flow(abaf, con, heads):
+    """The all-pairs loop, kept as the reference for ``finder._quasi_flow``:
+    one max-flow per ordered pair of groups, each anchored by rigid arcs from
+    a super source and into a super sink, on a copy of the network."""
+    m = len(con.groups)
+    charge_node = {}
+    next_id = m
+    arcs = {}
+    inf = abaf.n_atoms + 1
+    for r in abaf.rules:
+        gh = con.group_of[r.head]
+        for b in r.body:
+            gb = con.group_of[b]
+            if gb == gh:
+                continue
+            if b not in abaf.assumptions:
+                arcs[(gh, gb)] = inf
+            else:
+                if b not in charge_node:
+                    charge_node[b] = next_id
+                    next_id += 1
+                    arcs[(charge_node[b], gb)] = 1 if abaf.contrary[b] in heads else 0
+                arcs[(gh, charge_node[b])] = inf
+    source, sink = next_id, next_id + 1
+    seen = set()
+    out = []
+    for gs in range(m):
+        for gt in range(m):
+            if gs == gt:
+                continue
+            trial = dict(arcs)
+            trial[(source, gs)] = inf
+            trial[(gt, sink)] = inf
+            value, side = max_flow(next_id + 2, trial, source, sink)
+            if value >= inf:
+                continue  # anchors are rigidly connected
+            atoms = frozenset().union(*(con.groups[i] for i in range(m) if i in side))
+            if not atoms or atoms == abaf.atoms or atoms in seen:
+                continue
+            seen.add(atoms)
+            vulnerable = vulnerabilities(abaf, atoms, heads)
+            if vulnerable is not None:
+                out.append((len(vulnerable), atoms))
+    return out
+
+
+def bench_split_layered():
+    spec = importlib.util.spec_from_file_location(
+        "bench_split", Path(__file__).resolve().parent.parent / "scripts" / "bench_split.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.layered
+
+
+def test_quasi_flow_candidates_match_the_all_pairs_loop(monkeypatch):
+    """Same candidates, k included, and the same choice as the all-pairs
+    loop, on small frameworks and on two-block stacks of 17-20 groups; and
+    every max-flow run has a positive, finite value."""
+    frameworks = [random_abaf(seed, max_assumptions=5, max_rules=8) for seed in range(60)]
+    frameworks += [cyclic_abaf(seed) for seed in range(150)]
+    layered = bench_split_layered()
+    stacks = [layered(seed, block) for block in (8, 9) for seed in range(6)]
+    assert {len(pair_contracted(d).groups) for d in stacks} <= set(range(17, 21))
+    monkeypatch.setattr(finder, "EXACT_GROUP_LIMIT", 0)
+    flows = []
+
+    def recorded(*args):
+        value, side = max_flow(*args)
+        flows.append(value)
+        return value, side
+
+    monkeypatch.setattr(finder, "max_flow", recorded)
+    compared = 0
+    for d in frameworks + stacks:
+        con = pair_contracted(d)
+        if len(con.groups) <= 1:
+            continue
+        heads = {r.head for r in d.rules}
+        reference = all_pairs_quasi_flow(d, con, heads)
+        flows.clear()
+        assert set(finder._quasi_flow(d, con, heads)) == set(reference)
+        # no flow runs whose cut is known: zero cuts and rigid pairs
+        assert all(0 < value < d.n_atoms + 1 for value in flows)
+        if not reference:
+            continue
+        q = find_quasi_splitting(d)
+        with monkeypatch.context() as patch:
+            patch.setattr(finder, "_quasi_flow", all_pairs_quasi_flow)
+            q_reference = find_quasi_splitting(d)
+        assert (q.s, q.k) == (q_reference.s, q_reference.k)
+        compared += 1
+    assert compared > 150
 
 
 def test_find_quasi_degenerate():

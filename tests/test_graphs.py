@@ -3,7 +3,7 @@ import random
 import pytest
 
 from splitkit.finder import IDEAL_LIMIT
-from splitkit.graphs import Digraph, condense, order_ideals
+from splitkit.graphs import Digraph, condense, max_flow, order_ideals
 
 
 def frozenset_walk(cond, limit=None):
@@ -67,3 +67,55 @@ def test_walk_stops_at_the_limit_on_independent_vertices():
     ideals = order_ideals(cond, IDEAL_LIMIT)
     assert len(ideals) == IDEAL_LIMIT and len(set(ideals)) == IDEAL_LIMIT
     assert len(order_ideals(cond)) == 1 << 13
+
+
+INF = 1000  # more than all finite capacities of a network below together
+
+
+def random_network(rng, n):
+    """Arcs of capacity 0, 1, 2 or ``INF`` between distinct nodes."""
+    arcs = {}
+    density = rng.choice((0.15, 0.3, 0.5))
+    for u in range(n):
+        for v in range(n):
+            if u != v and rng.random() < density:
+                arcs[(u, v)] = rng.choice((0, 1, 1, 2, INF))
+    return arcs
+
+
+def minimum_cuts(n, arcs, s, t):
+    """Every s-t cut by brute force: the least capacity and the source sides
+    that reach it."""
+    cuts = []
+    for mask in range(1 << n):
+        if mask >> s & 1 and not mask >> t & 1:
+            side = {v for v in range(n) if mask >> v & 1}
+            cuts.append((sum(c for (u, v), c in arcs.items() if u in side and v not in side), side))
+    least = min(c for c, _ in cuts)
+    return least, [side for c, side in cuts if c == least]
+
+
+def test_max_flow_gives_the_minimal_minimum_cut():
+    """The value is the least cut capacity and the side is the intersection of
+    the source sides of all minimum cuts; with no flow, the side is what the
+    source reaches over arcs of positive capacity."""
+    rng = random.Random(7)
+    zero = 0
+    for _ in range(400):
+        n = rng.randint(2, 8)
+        arcs = random_network(rng, n)
+        s, t = rng.sample(range(n), 2)
+        value, side = max_flow(n, arcs, s, t)
+        least, sides = minimum_cuts(n, arcs, s, t)
+        assert value == least
+        assert side == set.intersection(*sides)
+        if value == 0:
+            zero += 1
+            reached = {s}
+            while True:
+                more = {v for (u, v), c in arcs.items() if c > 0 and u in reached} - reached
+                if not more:
+                    break
+                reached |= more
+            assert side == reached
+    assert 40 < zero < 360  # both cases are well represented

@@ -2,8 +2,8 @@
 
 Each runs as a subprocess on a small input, in a temporary directory, and
 must exit 0; the first two assert their own split-versus-direct agreement.
-``bench_kernel.py`` writes its timings to the temporary directory, not to the
-committed ``BENCH_kernel.json``.
+``bench_kernel.py`` and ``bench_finder.py`` write their timings to the
+temporary directory, not to the committed ``BENCH_*.json`` files.
 """
 
 import json
@@ -21,6 +21,7 @@ ROOT = Path(__file__).resolve().parent.parent
     ("check_equivalence.py", ["--count", "40"]),
     ("bench_split.py", ["--block", "4", "--seeds", "2"]),
     ("bench_kernel.py", ["--label", "test", "--out", "k.json"]),
+    ("bench_finder.py", ["--label", "test", "--out", "k.json"]),
 ])
 def test_script_runs_clean(script, args, tmp_path):
     env = dict(os.environ)
@@ -30,5 +31,5 @@ def test_script_runs_clean(script, args, tmp_path):
         env=env, cwd=tmp_path, capture_output=True, text=True, timeout=60,
     )
     assert done.returncode == 0, done.stdout + done.stderr
-    if script == "bench_kernel.py":
+    if script.startswith("bench_") and script != "bench_split.py":
         assert "test" in json.loads((tmp_path / "k.json").read_text())["runs"]
