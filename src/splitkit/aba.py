@@ -2,7 +2,8 @@
 
 An ``Abaf`` bundles a deductive system (atoms plus rules) with a distinguished
 assumption set and a total contrary map.  Atoms are dense integer ids with
-display names; subsets of assumptions are plain ``frozenset[int]``.
+display names; subsets of assumptions are plain ``frozenset[int]``, except
+inside the support tables, whose sets are int masks over atom ids.
 
 Everything here is immutable after construction and every operation is a pure
 function of its inputs, so frameworks can be shared freely across workers.
@@ -13,18 +14,10 @@ is deliberately exhaustive and protected by the enumeration guard.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import product
 from typing import Iterable, Mapping, Optional, Sequence
 
 from splitkit.errors import NonFlatError, NotAtomClosed, ValidationError
-from splitkit.semantics import (
-    Semantics,
-    canonical_sets,
-    check_guard,
-    compute_families,
-    mask_of,
-    unmask,
-)
+from splitkit.semantics import Semantics, canonical_sets, check_guard, compute_families, unmask
 
 MAX_SUPPORTS_PER_ATOM = 200_000
 
@@ -51,30 +44,27 @@ class Abaf:
     _cache: dict = field(init=False, compare=False, repr=False, default_factory=dict)
 
     def __post_init__(self):
-        self.names = tuple(self.names)
-        n = len(self.names)
-        if any(not name for name in self.names):
+        names = self.names = tuple(self.names)
+        n = len(names)
+        if not all(names):
             raise ValidationError("atom names must be nonempty")
-        self.assumptions = frozenset(self.assumptions)
-        if not all(0 <= a < n for a in self.assumptions):
+        assumptions = self.assumptions = frozenset(self.assumptions)
+        if assumptions and (min(assumptions) < 0 or max(assumptions) >= n):
             raise ValidationError("assumption id out of range")
-        self.contrary = dict(self.contrary)
-        if set(self.contrary) != self.assumptions:
+        contrary = self.contrary = dict(self.contrary)
+        if contrary.keys() != assumptions:
             raise ValidationError("contrary map must be total on assumptions and nothing else")
-        if not all(0 <= c < n for c in self.contrary.values()):
+        if contrary and (min(contrary.values()) < 0 or max(contrary.values()) >= n):
             raise ValidationError("contrary id out of range")
-        seen: set[Rule] = set()
-        deduped = []
-        for r in self.rules:
-            if not isinstance(r, Rule):
-                r = Rule(*r)
-            if r.head < 0 or r.head >= n or any(b < 0 or b >= n for b in r.body):
-                raise ValidationError("rule mentions an atom id out of range")
-            if r not in seen:
-                seen.add(r)
-                deduped.append(r)
-        self.rules = tuple(deduped)
-        self.flat = not any(r.head in self.assumptions for r in self.rules)
+        # dict.fromkeys drops repeated rules and keeps the first of each in order
+        rules = self.rules = tuple(dict.fromkeys(
+            r if isinstance(r, Rule) else Rule(*r) for r in self.rules
+        ))
+        heads = [r.head for r in rules]
+        mentioned = heads + [b for r in rules for b in r.body]
+        if mentioned and (min(mentioned) < 0 or max(mentioned) >= n):
+            raise ValidationError("rule mentions an atom id out of range")
+        self.flat = assumptions.isdisjoint(heads)
 
     def __hash__(self) -> int:
         """Agrees with ``==``, so equal frameworks share a dict entry."""
@@ -222,17 +212,22 @@ def theory_closure(
     return frozenset(derived)
 
 
-def _support_fixpoint(abaf: Abaf, minimal: bool) -> list[set[int]]:
-    """Per-atom sets of deriving assumption sets, as masks over sorted assumptions.
+def _support_fixpoint(abaf: Abaf, minimal: bool) -> dict[int, tuple[int, ...]]:
+    """Per-atom deriving assumption sets as masks over atom ids (bit a is
+    assumption a), each atom's in increasing order.
 
-    With ``minimal`` the lists are kept subset-minimal; otherwise every exact
-    leaf set of some derivation tree is recorded.
+    With ``minimal`` the sets are kept subset-minimal; otherwise every exact
+    leaf set of some derivation tree is recorded.  A rule is applied again
+    only after one of its body atoms has gained a set.
     """
-    order = sorted(abaf.assumptions)
-    index = {a: i for i, a in enumerate(order)}
     sup: list[set[int]] = [set() for _ in range(abaf.n_atoms)]
     for a in abaf.assumptions:
-        sup[a].add(1 << index[a])
+        sup[a].add(1 << a)
+    rules = abaf.rules
+    users: list[list[int]] = [[] for _ in range(abaf.n_atoms)]
+    for i, r in enumerate(rules):
+        for b in r.body:
+            users[b].append(i)
 
     def add(atom: int, mask: int) -> bool:
         bucket = sup[atom]
@@ -247,47 +242,36 @@ def _support_fixpoint(abaf: Abaf, minimal: bool) -> list[set[int]]:
             raise ValidationError("support table exceeds the safety cap")
         return True
 
-    changed = True
-    while changed:
-        changed = False
-        for r in abaf.rules:
-            body_sups = [sup[b] for b in r.body]
-            if any(not bs for bs in body_sups):
-                continue
-            if not body_sups:
-                if add(r.head, 0):
-                    changed = True
-                continue
-            for combo in product(*[sorted(bs) for bs in body_sups]):
-                mask = 0
-                for m in combo:
-                    mask |= m
+    pending: Iterable[int] = range(len(rules))
+    while pending:
+        grown = set()
+        for i in pending:
+            r = rules[i]
+            unions = {0}
+            for b in r.body:
+                unions = {u | m for u in unions for m in sup[b]}
+            for mask in unions:
                 if add(r.head, mask):
-                    changed = True
-    return sup
+                    grown.add(r.head)
+        pending = sorted({i for atom in grown for i in users[atom]})
+    return {atom: tuple(sorted(masks)) for atom, masks in enumerate(sup)}
 
 
-def _assumption_order(abaf: Abaf) -> tuple[list[int], dict[int, int]]:
-    order = sorted(abaf.assumptions)
-    return order, {a: i for i, a in enumerate(order)}
+def minimal_supports(abaf: Abaf) -> dict[int, tuple[int, ...]]:
+    """For every atom, its subset-minimal deriving assumption sets, cached.
 
-
-def minimal_supports(abaf: Abaf) -> dict[int, tuple[frozenset[int], ...]]:
-    """For every atom, its subset-minimal deriving assumption sets."""
+    Each set is a mask over atom ids (bit a is assumption a), and an atom's
+    masks come in increasing order; an underivable atom has none, and a
+    fact has the empty mask 0.
+    """
     if "minsup" not in abaf._cache:
-        order, _ = _assumption_order(abaf)
-        table = _support_fixpoint(abaf, minimal=True)
-        abaf._cache["minsup"] = {
-            atom: canonical_sets(unmask(m, order) for m in masks)
-            for atom, masks in enumerate(table)
-        }
+        abaf._cache["minsup"] = _support_fixpoint(abaf, minimal=True)
     return abaf._cache["minsup"]
 
 
-def all_supports(
-    abaf: Abaf, guard: Optional[int] = None
-) -> dict[int, tuple[frozenset[int], ...]]:
-    """Every exact derivation leaf set, not just the minimal ones.
+def all_supports(abaf: Abaf, guard: Optional[int] = None) -> dict[int, tuple[int, ...]]:
+    """Every exact derivation leaf set, not just the minimal ones, as masks
+    like those of ``minimal_supports``.
 
     Distinct from the minimal table: a tree may force extra assumptions into
     its leaf set, and the SETAF that lists every tail is built from those
@@ -296,12 +280,7 @@ def all_supports(
     """
     if "allsup" not in abaf._cache:
         check_guard(len(abaf.assumptions), guard)
-        order, _ = _assumption_order(abaf)
-        table = _support_fixpoint(abaf, minimal=False)
-        abaf._cache["allsup"] = {
-            atom: canonical_sets(unmask(m, order) for m in masks)
-            for atom, masks in enumerate(table)
-        }
+        abaf._cache["allsup"] = _support_fixpoint(abaf, minimal=False)
     return abaf._cache["allsup"]
 
 
@@ -350,10 +329,13 @@ def attack_range(
 def enumerate_extensions(
     abaf: Abaf, semantics: Semantics, guard: Optional[int] = None
 ) -> tuple[frozenset[int], ...]:
-    """The family of one semantics (masks resolved to assumption sets), cached.
+    """The family of one semantics, as assumption sets in canonical order, cached.
 
-    On a non-flat framework a stable extension must also be closed: it holds
-    every assumption it derives.
+    The sweep runs over the assumptions in increasing id order, and its
+    attack and closure lists come from the ``minimal_supports`` masks, with
+    each atom bit moved to that assumption's position; only the returned
+    family becomes sets.  On a non-flat framework a stable extension must
+    also be closed: it holds every assumption it derives.
     """
     if not abaf.flat and semantics not in (Semantics.CF, Semantics.STB):
         raise NonFlatError(
@@ -361,18 +343,22 @@ def enumerate_extensions(
         )
     if semantics not in abaf._cache:
         check_guard(len(abaf.assumptions), guard)
-        order, index = _assumption_order(abaf)
+        order = sorted(abaf.assumptions)
+        position = {1 << a: 1 << i for i, a in enumerate(order)}
+
+        def packed(mask: int) -> int:
+            out = 0
+            while mask:
+                low = mask & -mask
+                out |= position[low]
+                mask ^= low
+            return out
+
         sup = minimal_supports(abaf)
-        attacks = [
-            (mask_of(t, index), index[a])
-            for a in order
-            for t in sup[abaf.contrary[a]]
-        ]
+        attacks = [(packed(t), i) for i, a in enumerate(order) for t in sup[abaf.contrary[a]]]
         closure = []
         if semantics is Semantics.STB and not abaf.flat:
-            closure = [
-                (mask_of(t, index), index[a]) for a in order for t in sup[a]
-            ]
+            closure = [(packed(t), i) for i, a in enumerate(order) for t in sup[a]]
         masks = compute_families(len(order), attacks, semantics, closure)
         abaf._cache[semantics] = canonical_sets(unmask(m, order) for m in masks)
     return abaf._cache[semantics]

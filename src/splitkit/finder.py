@@ -26,6 +26,7 @@ from splitkit.errors import DegenerateSplit, InvalidBalance
 from splitkit.graphs import (
     Digraph,
     condense,
+    flow_network,
     max_flow,
     order_ideals,
     reachable,
@@ -238,7 +239,8 @@ def _quasi_flow(
     ``gs`` reaches ``gt`` over no path of positive capacity, the flow is 0
     and the cut's side is what ``gs`` reaches, one candidate for all such
     ``gt``.  If ``gs`` reaches ``gt`` over rigid arcs alone, no cut is
-    finite and the pair gives none.  Only the other pairs run ``max_flow``.
+    finite and the pair gives none.  Only the other pairs run ``max_flow``,
+    all on one residual network built for the call.
     """
     m = len(con.groups)
     charge_node: dict[int, int] = {}
@@ -267,13 +269,14 @@ def _quasi_flow(
             positive[u].append(v)
         if c >= inf:
             rigid[u].append(v)
+    network = flow_network(next_id, arcs)
     seen: set[frozenset[int]] = set()
     out: list[tuple[int, frozenset[int]]] = []
     for gs in range(m):
         reach = reachable(positive, gs)
         rigid_reach = reachable(rigid, gs)
         sides = [reach] + [
-            max_flow(next_id, arcs, gs, gt)[1]
+            max_flow(network, gs, gt)[1]
             for gt in range(m) if gt in reach and gt not in rigid_reach
         ]
         for side in sides:

@@ -185,15 +185,11 @@ def reachable(successors: Sequence[Sequence[int]], root: int) -> set[int]:
     return seen
 
 
-def max_flow(n: int, arcs: dict[tuple[int, int], int], source: int, sink: int) -> tuple[int, set[int]]:
-    """Edmonds-Karp max-flow: the flow value and the minimal minimum cut.
+def flow_network(n: int, arcs: dict[tuple[int, int], int]) -> tuple[list[int], list[int], list[list[int]]]:
+    """The residual network of ``arcs`` on nodes ``0..n-1``, for ``max_flow``.
 
-    The cut is given by its source side, the nodes still reachable from
-    ``source`` over arcs with residual capacity.  That side is the
-    intersection of the source sides of all minimum cuts, so it is the same
-    for every maximum flow; with no path of positive capacity it is the set
-    reachable from ``source``.  Arc ``e`` and its reverse ``e ^ 1`` sit
-    side by side in the residual lists.
+    Arc ``e`` and its reverse ``e ^ 1`` sit side by side: the heads, the
+    capacities (0 for each reverse arc), and each node's outgoing arc ids.
     """
     head: list[int] = []
     cap: list[int] = []
@@ -205,6 +201,24 @@ def max_flow(n: int, arcs: dict[tuple[int, int], int], source: int, sink: int) -
         out[v].append(len(head))
         head.append(u)
         cap.append(0)
+    return head, cap, out
+
+
+def max_flow(
+    network: tuple[list[int], list[int], list[list[int]]], source: int, sink: int
+) -> tuple[int, set[int]]:
+    """Edmonds-Karp max-flow on a ``flow_network``: the flow value and the
+    minimal minimum cut.
+
+    The cut is given by its source side, the nodes still reachable from
+    ``source`` over arcs with residual capacity.  That side is the
+    intersection of the source sides of all minimum cuts, so it is the same
+    for every maximum flow; with no path of positive capacity it is the set
+    reachable from ``source``.  Each call starts from the network's own
+    capacities, so one network serves any number of flows.
+    """
+    head, capacity, out = network
+    cap = capacity.copy()
     flow = 0
     while True:
         via = {source: -1}  # each reached node's entering arc

@@ -21,19 +21,27 @@ def aba_to_setaf(abaf: Abaf, all_tails: bool = False, guard: Optional[int] = Non
     if not abaf.flat:
         raise NonFlatError("only flat frameworks instantiate to a SETAF")
     order = sorted(abaf.assumptions)
-    index = {a: i for i, a in enumerate(order)}
+    arg_of = {1 << a: i for i, a in enumerate(order)}
     table = all_supports(abaf, guard=guard) if all_tails else minimal_supports(abaf)
     attacks = []
-    for a in order:
+    for i, a in enumerate(order):
         for tail in table[abaf.contrary[a]]:
             if not tail:
                 raise ValidationError(
                     f"contrary of {abaf.names[a]!r} is derivable from the empty "
                     "set; no SETAF with nonempty attack tails can express this"
                 )
-            attacks.append((frozenset(index[t] for t in tail), index[a]))
-    attacks.sort(key=lambda at: (at[1], tuple(sorted(at[0]))))
-    return Setaf(tuple(abaf.names[a] for a in order), tuple(attacks))
+            args = []  # increasing, as the atom ids are
+            while tail:
+                low = tail & -tail
+                args.append(arg_of[low])
+                tail ^= low
+            attacks.append((i, tuple(args)))
+    attacks.sort()
+    return Setaf(
+        tuple(abaf.names[a] for a in order),
+        tuple((frozenset(tail), head) for head, tail in attacks),
+    )
 
 
 def setaf_to_aba(sf: Setaf) -> Abaf:

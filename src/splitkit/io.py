@@ -55,9 +55,14 @@ def _parse_id(line_no: int, token: str, n: int) -> int:
 
 def _read_framework(text: str, kind: str) -> tuple[int, list[str], list[tuple[int, list[str]]]]:
     """The size from the ``p <kind> <n>`` header, the display names, and the
-    remaining directives with their line numbers."""
+    remaining directives with their line numbers.
+
+    The final names must be distinct, default names included; a clash is
+    reported on the later of the ``# name`` lines that made it.
+    """
     n = None
     names: list[str] = []
+    named_on: dict[int, int] = {}  # atom -> line of its last ``# name``
     directives = []
     for line_no, parts in _tokens(text):
         if parts[0] == "p":
@@ -74,10 +79,18 @@ def _read_framework(text: str, kind: str) -> tuple[int, list[str], list[tuple[in
             if not parts[2]:
                 raise ParseError(line_no, "empty display name")
             names[idx] = parts[2]
+            named_on[idx] = line_no
         else:
             directives.append((line_no, parts))
     if n is None:
         raise ParseError(1, f"missing 'p {kind} <n>' header")
+    seen: dict[str, int] = {}
+    for i, name in enumerate(names):
+        if name in seen:  # default names are distinct, so one of the two was named
+            first, later = sorted((seen[name], i), key=lambda k: named_on.get(k, 0))
+            raise ParseError(named_on[later],
+                             f"display name {name!r} of atom {later + 1} is already atom {first + 1}'s")
+        seen[name] = i
     return n, names, directives
 
 

@@ -45,15 +45,12 @@ class AbaSplitting:
     a2: frozenset[int]
 
     def reduct(self, e: Iterable[int]) -> Abaf:
-        e = self._check_e(e)
-        th = theory_closure(self.bottom, e)
-        rules = tuple(
-            Rule(r.head, r.body - th)
-            for r in self.r2
-            if r.body & self.s <= th
-        )
         contrary = {a: self.base.contrary[a] for a in self.a2}
-        return Abaf(self.base.names, rules, self.a2, contrary)
+        return Abaf(self.base.names, self._reduct_rules(self._check_e(e)), self.a2, contrary)
+
+    def _reduct_rules(self, e: frozenset[int]) -> list[Rule]:
+        th = theory_closure(self.bottom, e)
+        return [Rule(r.head, r.body - th) for r in self.r2 if r.body & self.s <= th]
 
     def undecided(self, e: Iterable[int]) -> tuple[frozenset[int], frozenset[int]]:
         return undecided_theory(self.bottom, self._check_e(e))
@@ -80,20 +77,19 @@ class AbaSplitting:
         """The reduct, plus the rules lost only to undecided bodies, each
         guarded by one fresh self-attacking assumption ``_u``."""
         e = self._check_e(e)
-        red = self.reduct(e)
+        rules = self._reduct_rules(e)
+        contrary = {a: self.base.contrary[a] for a in self.a2}
         ua, ut = self.undecided(e)
         if not ua:
-            return red
+            return Abaf(self.base.names, rules, self.a2, contrary)
         inc = self.incompatible(e)
         names, xu, cu = _with_fresh_pair(self.base.names, "_u", "_cu")
-        rules = list(red.rules)
         rules.append(Rule(cu, frozenset({xu})))
         for r in self.r2:
             if not r.body & inc and r.body & ut:
                 rules.append(Rule(r.head, (r.body - self.s) | {xu}))
-        contrary = {a: self.base.contrary[a] for a in self.a2}
         contrary[xu] = cu
-        return Abaf(names, tuple(rules), self.a2 | {xu}, contrary)
+        return Abaf(names, rules, self.a2 | {xu}, contrary)
 
     def solve(
         self,

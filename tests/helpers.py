@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import importlib.util
 import random
+from pathlib import Path
 
 from splitkit.aba import Abaf, Rule
 from splitkit.setaf import Setaf
@@ -101,3 +103,21 @@ def rules_nm(abaf) -> frozenset[tuple[str, frozenset[str]]]:
 
 def attacks_nm(sf) -> frozenset[tuple[frozenset[str], str]]:
     return sf.attacks_by_name()
+
+
+def support_sets(table) -> dict[int, tuple[frozenset[int], ...]]:
+    """A support table of masks (bit a is assumption a) as atom-id sets, in
+    the table's order."""
+    return {
+        atom: tuple(frozenset(a for a in range(m.bit_length()) if m >> a & 1) for m in masks)
+        for atom, masks in table.items()
+    }
+
+
+def bench_split_layered():
+    """``layered(seed, block)`` of ``scripts/bench_split.py``: two stacked blocks."""
+    spec = importlib.util.spec_from_file_location(
+        "bench_split", Path(__file__).resolve().parent.parent / "scripts" / "bench_split.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.layered

@@ -1,6 +1,6 @@
 import pytest
 
-from helpers import abaf7, abaf_vuln, ids, nm
+from helpers import abaf7, abaf_vuln, bench_split_layered, cyclic_abaf, ids, nm, support_sets
 from splitkit.aba import (
     Abaf,
     Rule,
@@ -24,14 +24,44 @@ from splitkit.semantics import Semantics
 
 
 def test_construction_checks():
-    with pytest.raises(ValidationError):
-        Abaf(("a", "ca"), (), frozenset({0}), {})  # contrary not total
-    with pytest.raises(ValidationError):
-        Abaf(("a", "ca"), (), frozenset({0}), {0: 1, 1: 0})  # contrary for non-assumption
-    with pytest.raises(ValidationError):
-        Abaf(("a", ""), (), frozenset({0}), {0: 1})  # empty name
-    with pytest.raises(ValidationError):
-        Abaf(("a", "ca"), (Rule(5, frozenset()),), frozenset({0}), {0: 1})
+    def rejected(*args):
+        with pytest.raises(ValidationError) as err:
+            Abaf(*args)
+        return str(err.value)
+
+    assert rejected(("a", "ca"), (), frozenset({0}), {}) == (
+        "contrary map must be total on assumptions and nothing else")
+    assert rejected(("a", "ca"), (), frozenset({0}), {0: 1, 1: 0}) == (
+        "contrary map must be total on assumptions and nothing else")  # non-assumption
+    assert rejected(("a", ""), (), frozenset({0}), {0: 1}) == "atom names must be nonempty"
+    for a in (-1, 2):
+        assert rejected(("a", "ca"), (), frozenset({0, a}), {0: 1, a: 1}) == (
+            "assumption id out of range")
+    for c in (-1, 2):
+        assert rejected(("a", "ca"), (), frozenset({0}), {0: c}) == "contrary id out of range"
+    for rule in (Rule(5, frozenset()), Rule(-1, frozenset()),
+                 Rule(1, frozenset({0, 2})), Rule(1, frozenset({-1}))):
+        assert rejected(("a", "ca"), (Rule(1, frozenset({0})), rule), frozenset({0}), {0: 1}) == (
+            "rule mentions an atom id out of range")
+    assert rejected(("a", "ca"), ((1, {0, 2}),), frozenset({0}), {0: 1}) == (
+        "rule mentions an atom id out of range")
+    # the first failing check decides the message
+    assert rejected(("a", ""), ((7, ()),), frozenset({0, 9}), {}) == "atom names must be nonempty"
+    assert rejected(("a", "b"), ((7, ()),), frozenset({0}), {0: 9}) == "contrary id out of range"
+
+    # plain (head, body) pairs become rules; repeats collapse to the first
+    # occurrence, in order; ``flat`` says whether any rule heads an assumption
+    d = Abaf(["x", "cx", "p"], [(2, [0]), Rule(1, frozenset({2})), (2, (0,)), (1, {2})],
+             {0}, {0: 1})
+    assert d.rules == (Rule(2, frozenset({0})), Rule(1, frozenset({2})))
+    assert d.names == ("x", "cx", "p") and d.assumptions == frozenset({0})
+    assert d.flat
+    spread = [Rule(h, frozenset({0})) for h in (5, 1, 4, 2, 3)]
+    d = Abaf(("x", "cx", "p", "q", "r", "s"), spread + spread[::-1], {0}, {0: 1})
+    assert d.rules == tuple(spread)
+    assert not Abaf(("x", "cx"), ((0, ()),), frozenset({0}), {0: 1}).flat
+    assert Abaf(("x", "cx"), (), frozenset(), {}).flat
+    assert Abaf((), (), frozenset(), {}).rules == ()
 
 
 def test_duplicate_rules_are_collapsed():
@@ -88,7 +118,7 @@ def test_theory_closure_is_monotone():
 
 def test_minimal_supports_examples():
     d = abaf7()
-    sup = minimal_supports(d)
+    sup = support_sets(minimal_supports(d))
     assert {nm(d, t) for t in sup[d.atom_id("x_c")]} == {frozenset({"a", "w"})}
     assert {nm(d, t) for t in sup[d.atom_id("y_c")]} == {
         frozenset({"x"}),
@@ -103,9 +133,9 @@ def test_all_supports_records_exact_leaf_sets():
         assumptions={"a": "ca", "u": "cu", "z": "p"},
         rules=[("p", ["a"]), ("p", ["a", "u"])],
     )
-    exact = all_supports(d)[d.atom_id("p")]
+    exact = support_sets(all_supports(d))[d.atom_id("p")]
     assert {nm(d, t) for t in exact} == {frozenset({"a"}), frozenset({"a", "u"})}
-    minimal = minimal_supports(d)[d.atom_id("p")]
+    minimal = support_sets(minimal_supports(d))[d.atom_id("p")]
     assert {nm(d, t) for t in minimal} == {frozenset({"a"})}
 
 
@@ -252,3 +282,72 @@ def test_theory_closure_in_expanded_quasi_bottom():
     exp, _ = q.expanded
     th = theory_closure(exp, ids(exp, "b"))
     assert nm(exp, th) == {"b", "d_c", "c_b'", "p", "a_c"}
+
+
+# -- support tables against the earlier set-based fixpoint ----------------------
+
+
+def reference_supports(abaf, minimal):
+    """The earlier ``_support_fixpoint``, kept as the reference: every rule on
+    every pass, each body's sets combined by ``product``, masks over the
+    assumptions in increasing order; returned as atom-id sets per atom."""
+    from itertools import product
+
+    order = sorted(abaf.assumptions)
+    index = {a: i for i, a in enumerate(order)}
+    sup = [set() for _ in range(abaf.n_atoms)]
+    for a in abaf.assumptions:
+        sup[a].add(1 << index[a])
+
+    def add(atom, mask):
+        bucket = sup[atom]
+        if mask in bucket:
+            return False
+        if minimal:
+            if any(m & mask == m for m in bucket):
+                return False
+            bucket.difference_update({m for m in bucket if m & mask == mask})
+        bucket.add(mask)
+        return True
+
+    changed = True
+    while changed:
+        changed = False
+        for r in abaf.rules:
+            body_sups = [sup[b] for b in r.body]
+            if any(not bs for bs in body_sups):
+                continue
+            if not body_sups:
+                if add(r.head, 0):
+                    changed = True
+                continue
+            for combo in product(*[sorted(bs) for bs in body_sups]):
+                mask = 0
+                for m in combo:
+                    mask |= m
+                if add(r.head, mask):
+                    changed = True
+    return {
+        atom: {frozenset(a for i, a in enumerate(order) if m >> i & 1) for m in masks}
+        for atom, masks in enumerate(sup)
+    }
+
+
+def test_support_tables_match_the_set_based_fixpoint():
+    layered = bench_split_layered()
+    frameworks = [random_abaf(seed, max_assumptions=6, max_rules=10) for seed in range(60)]
+    frameworks += [cyclic_abaf(seed) for seed in range(150)]
+    frameworks += [layered(gen, 8 + gen % 2) for gen in range(20)]
+    assert sum(not d.flat for d in frameworks) > 50
+    facts = underivable = 0
+    for d in frameworks:
+        for minimal, table in ((True, minimal_supports(d)), (False, all_supports(d))):
+            assert list(table) == list(range(d.n_atoms))
+            for masks in table.values():
+                assert list(masks) == sorted(set(masks))  # increasing, no repeats
+            got = {atom: set(sets) for atom, sets in support_sets(table).items()}
+            assert got == reference_supports(d, minimal)
+        sup = minimal_supports(d)
+        facts += sum(masks == (0,) for masks in sup.values())
+        underivable += sum(masks == () for masks in sup.values())
+    assert facts > 100 and underivable > 200

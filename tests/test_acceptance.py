@@ -10,7 +10,7 @@ import time
 
 import pytest
 
-from helpers import abaf7, abaf_chain3, abaf_vuln, attacks_nm, fam, ids, nm, setaf7
+from helpers import abaf7, abaf_chain3, abaf_vuln, attacks_nm, fam, ids, nm, setaf7, support_sets
 from splitkit.aba import (
     atom_closure,
     check_extension as aba_check,
@@ -216,13 +216,13 @@ def test_c08_aba_splitting_theorem_suite(suite8):
     checked = 0
     for d in suite8:
         fams = {sem: aba_ext(d, sem) for sem in SPLIT_SEMS}
-        whole_sup = minimal_supports(d)
+        whole_sup = support_sets(minimal_supports(d))
         cf_whole = aba_ext(d, Semantics.CF)
         for s in splitting_sets(d, prefixes_only=True):
             sp = make_splitting(d, s)
             checked += 1
             # conservativity: bottom attacks never leave the bottom
-            local_sup = minimal_supports(sp.bottom)
+            local_sup = support_sets(minimal_supports(sp.bottom))
             for a in sp.a1:
                 assert whole_sup[d.contrary[a]] == local_sup[d.contrary[a]]
                 assert all(t <= sp.a1 for t in whole_sup[d.contrary[a]])

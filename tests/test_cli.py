@@ -181,6 +181,20 @@ def test_exit_codes(tmp_path, capsys, monkeypatch):
         assert main(["solve", write(tmp_path, "b.aba", f"p aba 1\n{bare}\n"), "--semantics", "prf"]) == 2
     unnamed = write(tmp_path, "unnamed.setaf", "p setaf 1\n# name 1\n")
     assert main(["solve", unnamed, "--format", "setaf", "--semantics", "prf"]) == 2
+    # display names must be distinct, default names included; the error names
+    # the line that made the clash
+    for fmt, text, line in (
+        ("aba", "p aba 4\n# name 1 x\n# name 2 x\na 1\na 2\nc 1 3\nc 2 4\nr 3 2\n", 3),
+        ("setaf", "p setaf 2\n# name 1 x\n# name 2 x\ne 1 2\n", 3),
+        ("aba", "p aba 2\n# name 2 1\na 1\nc 1 2\n", 2),
+    ):
+        capsys.readouterr()
+        twice = write(tmp_path, f"twice.{fmt}", text)
+        assert main(["solve", twice, "--format", fmt, "--semantics", "stb"]) == 2
+        assert f"line {line}:" in capsys.readouterr().err
+    renamed = write(tmp_path, "renamed.aba", "p aba 2\n# name 2 1\n# name 1 a\na 1\nc 1 2\n")
+    assert main(["solve", renamed, "--semantics", "stb"]) == 0  # no clash once all are read
+    assert capsys.readouterr().out == "E a\n"
     assert main(["gen", "--seed", "3", "--output", str(tmp_path / "d.aba")]) == 0
     d = str(tmp_path / "d.aba")
     assert main(["solve", d, "--semantics", "cf", "--mode", "split"]) == 3

@@ -1,9 +1,6 @@
-import importlib.util
-from pathlib import Path
-
 import pytest
 
-from helpers import abaf7, abaf_chain3, abaf_vuln, cyclic_abaf, ids, nm, setaf7
+from helpers import abaf7, abaf_chain3, abaf_vuln, bench_split_layered, cyclic_abaf, ids, nm, setaf7
 from splitkit import finder
 from splitkit.aba import Abaf
 from splitkit.errors import DegenerateSplit, NonAssumptionBodyOut, NotAtomClosed, ValidationError
@@ -19,7 +16,7 @@ from splitkit.finder import (
     splitting_sets,
 )
 from splitkit.generate import random_abaf, random_setaf
-from splitkit.graphs import condense, max_flow, order_ideals
+from splitkit.graphs import condense, flow_network, max_flow, order_ideals
 from splitkit.setaf import Setaf
 from splitkit.split_aba import make_quasi_splitting, make_splitting, vulnerabilities
 from splitkit.split_setaf import make_splitting as make_setaf_splitting
@@ -325,7 +322,7 @@ def all_pairs_quasi_flow(abaf, con, heads):
             trial = dict(arcs)
             trial[(source, gs)] = inf
             trial[(gt, sink)] = inf
-            value, side = max_flow(next_id + 2, trial, source, sink)
+            value, side = max_flow(flow_network(next_id + 2, trial), source, sink)
             if value >= inf:
                 continue  # anchors are rigidly connected
             atoms = frozenset().union(*(con.groups[i] for i in range(m) if i in side))
@@ -336,14 +333,6 @@ def all_pairs_quasi_flow(abaf, con, heads):
             if vulnerable is not None:
                 out.append((len(vulnerable), atoms))
     return out
-
-
-def bench_split_layered():
-    spec = importlib.util.spec_from_file_location(
-        "bench_split", Path(__file__).resolve().parent.parent / "scripts" / "bench_split.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module.layered
 
 
 def test_quasi_flow_candidates_match_the_all_pairs_loop(monkeypatch):

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from splitkit.finder import IDEAL_LIMIT
-from splitkit.graphs import Digraph, condense, max_flow, order_ideals
+from splitkit.graphs import Digraph, condense, flow_network, max_flow, order_ideals
 
 
 def frozenset_walk(cond, limit=None):
@@ -98,14 +98,17 @@ def minimum_cuts(n, arcs, s, t):
 def test_max_flow_gives_the_minimal_minimum_cut():
     """The value is the least cut capacity and the side is the intersection of
     the source sides of all minimum cuts; with no flow, the side is what the
-    source reaches over arcs of positive capacity."""
+    source reaches over arcs of positive capacity.  A flow leaves the
+    network's capacities as they were."""
     rng = random.Random(7)
     zero = 0
     for _ in range(400):
         n = rng.randint(2, 8)
         arcs = random_network(rng, n)
         s, t = rng.sample(range(n), 2)
-        value, side = max_flow(n, arcs, s, t)
+        network = flow_network(n, arcs)
+        value, side = max_flow(network, s, t)
+        assert max_flow(network, s, t) == (value, side)  # a used network serves again
         least, sides = minimum_cuts(n, arcs, s, t)
         assert value == least
         assert side == set.intersection(*sides)

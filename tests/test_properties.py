@@ -8,6 +8,7 @@ scans) deliberately avoid the fixpoint machinery they are checking.
 import hypothesis.strategies as st
 from hypothesis import given, settings
 
+from helpers import support_sets
 from splitkit.aba import (
     enumerate_extensions as aba_extensions,
     minimal_supports,
@@ -52,7 +53,7 @@ def test_theory_closure_is_monotone(d, pick):
 @settings(max_examples=50, deadline=None)
 @given(tiny_abafs)
 def test_minimal_supports_match_proof_search(d):
-    sup = minimal_supports(d)
+    sup = support_sets(minimal_supports(d))
     order = sorted(d.assumptions)
     for mask in range(1 << len(order)):
         base = frozenset(a for i, a in enumerate(order) if mask >> i & 1)

@@ -2,8 +2,9 @@
 
 Each runs as a subprocess on a small input, in a temporary directory, and
 must exit 0; the first two assert their own split-versus-direct agreement.
-``bench_kernel.py`` and ``bench_finder.py`` write their timings to the
-temporary directory, not to the committed ``BENCH_*.json`` files.
+``bench_kernel.py``, ``bench_finder.py`` and ``bench_oracle.py`` write
+their timings to the temporary directory and leave the committed
+``BENCH_*.json`` files as they are.
 """
 
 import json
@@ -22,8 +23,11 @@ ROOT = Path(__file__).resolve().parent.parent
     ("bench_split.py", ["--block", "4", "--seeds", "2"]),
     ("bench_kernel.py", ["--label", "test", "--out", "k.json"]),
     ("bench_finder.py", ["--label", "test", "--out", "k.json"]),
+    ("bench_oracle.py", ["--label", "test", "--out", "k.json"]),
 ])
 def test_script_runs_clean(script, args, tmp_path):
+    committed = ROOT / script.replace("bench_", "BENCH_").replace(".py", ".json")
+    before = committed.read_bytes() if committed.exists() else None
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     done = subprocess.run(
@@ -33,3 +37,4 @@ def test_script_runs_clean(script, args, tmp_path):
     assert done.returncode == 0, done.stdout + done.stderr
     if script.startswith("bench_") and script != "bench_split.py":
         assert "test" in json.loads((tmp_path / "k.json").read_text())["runs"]
+        assert committed.read_bytes() == before

@@ -1,6 +1,8 @@
 import pytest
 
-from helpers import abaf7, abaf_chain3, abaf_vuln, cyclic_abaf, fam, ids, nm, rules_nm
+from helpers import (
+    abaf7, abaf_chain3, abaf_vuln, cyclic_abaf, fam, ids, nm, rules_nm, support_sets,
+)
 from splitkit.aba import (
     Abaf,
     Rule,
@@ -274,10 +276,10 @@ def test_bottom_support_conservativity():
 
     for seed in range(25):
         d = random_abaf(seed, max_assumptions=5, max_rules=8)
-        whole = minimal_supports(d)
+        whole = support_sets(minimal_supports(d))
         for s in splitting_sets(d, nontrivial=True):
             sp = make_splitting(d, s)
-            local = minimal_supports(sp.bottom)
+            local = support_sets(minimal_supports(sp.bottom))
             for a in sp.a1:
                 assert whole[d.contrary[a]] == local[d.contrary[a]]
                 assert all(t <= sp.a1 for t in whole[d.contrary[a]])
@@ -293,7 +295,7 @@ def test_bottom_support_conservativity():
 def table_undecided(d1, e):
     th = theory_closure(d1, e)
     ua = frozenset(a for a in d1.assumptions if a not in e and d1.contrary[a] not in th)
-    sup = all_supports(d1)
+    sup = support_sets(all_supports(d1))
     ut = frozenset(
         p
         for p in range(d1.n_atoms)
@@ -306,13 +308,13 @@ def table_undecided(d1, e):
 def table_incompatible(sp, e):
     th = theory_closure(sp.bottom, e)
     defeated = frozenset(a for a in sp.a1 if sp.base.contrary[a] in th)
-    sup = minimal_supports(sp.bottom)
+    sup = support_sets(minimal_supports(sp.bottom))
     blocked = frozenset(p for p in sp.s if all(t & defeated for t in sup[p]))
     return blocked | frozenset(sp.base.contrary[a] for a in e)
 
 
 def table_uninfluenced(d, u):
-    sup = all_supports(d)
+    sup = support_sets(all_supports(d))
     return all(t <= u for b in u for t in sup[d.contrary[b]])
 
 
