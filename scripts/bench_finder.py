@@ -1,12 +1,15 @@
 #!/usr/bin/env python3
-"""Time the three finders alone on two-block stacks.
+"""Time the three finders alone on stacks of ABA blocks.
 
-Rows: the ``bench_split.layered`` stacks of blocks 8 and 9 (16 and 18
-assumptions), generator seeds 0-19.  On each stack the script times
-``find_balanced_splitting``, ``find_setaf_splitting`` on the stack's SETAF
-instantiation and ``find_quasi_splitting``, each as the median of three
-calls, and counts the ``max_flow`` calls of one quasi call.  The size of each
-chosen set, and the quasi k, show that two runs chose alike.
+Rows: stacks of random ABA blocks drawn by ``perfbench/workloads.py``.
+First the two-block stacks of ``layered`` (the ``bench_split.layered``
+draw), blocks of 8 and 9 assumptions, generator seeds 0-19; then the three-
+and four-block stacks of ``beyond``, blocks of 8, generator seeds 0-3, whose
+SETAFs have more order ideals than the ABA finder's walk takes.  On each
+stack the script times ``find_balanced_splitting``, ``find_setaf_splitting``
+on the stack's SETAF instantiation and ``find_quasi_splitting``, each as the
+median of three calls, and counts the ``max_flow`` calls of one quasi call.
+The size of each chosen set, and the quasi k, show that two runs chose alike.
 
 The run is stored under ``--label`` in ``--out``; runs under other labels
 already in that file are kept, so one file can hold the same rows timed on
@@ -20,14 +23,18 @@ import json
 import os
 import platform
 import statistics
+import sys
 import time
+from pathlib import Path
 
-from bench_split import layered
 from splitkit import finder
 from splitkit.instantiate import aba_to_setaf
 
-BLOCKS = (8, 9)
-SEEDS = range(20)
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+from workloads import stack  # noqa: E402
+
+# (blocks, assumptions per block, generator seeds)
+STACKS = ((2, 8, range(20)), (2, 9, range(20)), (3, 8, range(4)), (4, 8, range(4)))
 REPEATS = 3
 
 
@@ -56,16 +63,16 @@ def main() -> None:
 
     finder.max_flow = counted  # the finder calls it through its module globals
     rows = []
-    for block in BLOCKS:
-        for seed in SEEDS:
-            d = layered(seed, block)
+    for blocks, block, seeds in STACKS:
+        for seed in seeds:
+            d = stack(seed, blocks, block)
             sf = aba_to_setaf(d)
             balanced_ms, s = timed(finder.find_balanced_splitting, d)
             setaf_ms, a1 = timed(finder.find_setaf_splitting, sf)
             flows = 0
             quasi_ms, q = timed(finder.find_quasi_splitting, d)
             row = {
-                "block": block, "seed": seed, "atoms": d.n_atoms,
+                "blocks": blocks, "block": block, "seed": seed, "atoms": d.n_atoms,
                 "balanced_ms": balanced_ms, "balanced_size": len(s),
                 "setaf_ms": setaf_ms, "setaf_size": len(a1),
                 "quasi_ms": quasi_ms, "quasi_size": len(q.s), "quasi_k": q.k,

@@ -4,8 +4,12 @@ Splitting sets of an ABA framework are exactly the predecessor-closed vertex
 sets of its dependency graph (rule edges body -> head, plus a symmetric pair
 of edges between each assumption and its contrary), and likewise for SETAF
 bottoms on the primal graph.  Condensing the strongly connected components
-makes those sets enumerable as order ideals of a DAG; the finder scores them
-by how evenly they cut the framework.
+makes those sets the order ideals of a DAG, and the finders score candidate
+ideals by how evenly they cut the framework.  The ABA finder walks the
+ideals themselves, up to ``IDEAL_LIMIT`` of them.  The SETAF finder scores
+only the prefixes of five topological orders of the condensation, picked by
+SCC size (``graphs.prefix_ideals``): one ideal per SCC and order, with no
+limit to reach.
 
 Quasi-splittings drop the requirement that assumption body atoms stay below
 their rule heads.  Finding one with few vulnerabilities is a minimum-cut
@@ -29,8 +33,8 @@ from splitkit.graphs import (
     flow_network,
     max_flow,
     order_ideals,
+    prefix_ideals,
     reachable,
-    topo_prefix_ideals,
 )
 from splitkit.semantics import unmask
 from splitkit.setaf import Setaf, primal_graph
@@ -72,7 +76,7 @@ def splitting_sets(
 ) -> list[frozenset[int]]:
     """Candidate splitting sets from the dependency condensation."""
     cond = condense(dependency_graph(abaf))
-    ideals = topo_prefix_ideals(cond) if prefixes_only else order_ideals(cond, limit)
+    ideals = prefix_ideals(cond) if prefixes_only else order_ideals(cond, limit)
     return _candidates(ideals, abaf.n_atoms, nontrivial)
 
 
@@ -133,7 +137,7 @@ def find_balanced_splitting(abaf: Abaf, target: float = 0.5) -> frozenset[int]:
 def find_setaf_splitting(sf: Setaf, target: float = 0.5) -> frozenset[int]:
     _check_target(target)
     cond = condense(primal_graph(sf))
-    best = _most_balanced(order_ideals(cond, IDEAL_LIMIT), sf.n_args, target)
+    best = _most_balanced(prefix_ideals(cond, [len(c) for c in cond.sccs]), sf.n_args, target)
     make_setaf_splitting(sf, best)
     return best
 

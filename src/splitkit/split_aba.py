@@ -45,11 +45,11 @@ class AbaSplitting:
     a2: frozenset[int]
 
     def reduct(self, e: Iterable[int]) -> Abaf:
+        th = theory_closure(self.bottom, self._check_e(e))
         contrary = {a: self.base.contrary[a] for a in self.a2}
-        return Abaf(self.base.names, self._reduct_rules(self._check_e(e)), self.a2, contrary)
+        return Abaf(self.base.names, self._reduct_rules(th), self.a2, contrary)
 
-    def _reduct_rules(self, e: frozenset[int]) -> list[Rule]:
-        th = theory_closure(self.bottom, e)
+    def _reduct_rules(self, th: frozenset[int]) -> list[Rule]:
         return [Rule(r.head, r.body - th) for r in self.r2 if r.body & self.s <= th]
 
     def undecided(self, e: Iterable[int]) -> tuple[frozenset[int], frozenset[int]]:
@@ -68,21 +68,32 @@ class AbaSplitting:
         reachable.
         """
         e = self._check_e(e)
-        th = theory_closure(self.bottom, e)
-        live = frozenset(a for a in self.a1 if self.base.contrary[a] not in th)
-        blocked = self.s - theory_closure(self.bottom, live)
-        return blocked | frozenset(self.base.contrary[a] for a in e)
+        live = _undefeated(self.bottom, theory_closure(self.bottom, e))
+        return self._incompatible(e, theory_closure(self.bottom, live))
+
+    def _incompatible(self, e: frozenset[int], derivable: frozenset[int]) -> frozenset[int]:
+        """``incompatible``, given what the undefeated assumptions derive."""
+        return (self.s - derivable) | frozenset(self.base.contrary[a] for a in e)
 
     def modification(self, e: Iterable[int]) -> Abaf:
         """The reduct, plus the rules lost only to undecided bodies, each
-        guarded by one fresh self-attacking assumption ``_u``."""
+        guarded by one fresh self-attacking assumption ``_u``.
+
+        One closure of ``e`` serves the reduct and the undecided assumptions,
+        and one closure of the undefeated assumptions serves the undecided
+        theory and the incompatible sentences.
+        """
         e = self._check_e(e)
-        rules = self._reduct_rules(e)
+        th = theory_closure(self.bottom, e)
+        rules = self._reduct_rules(th)
         contrary = {a: self.base.contrary[a] for a in self.a2}
-        ua, ut = self.undecided(e)
+        live = _undefeated(self.bottom, th)
+        ua = live - e
         if not ua:
             return Abaf(self.base.names, rules, self.a2, contrary)
-        inc = self.incompatible(e)
+        derivable = theory_closure(self.bottom, live)
+        ut = tainted(self.bottom, live, ua, derivable)
+        inc = self._incompatible(e, derivable)
         names, xu, cu = _with_fresh_pair(self.base.names, "_u", "_cu")
         rules.append(Rule(cu, frozenset({xu})))
         for r in self.r2:
@@ -145,10 +156,14 @@ def undecided_theory(d1: Abaf, e: Iterable[int]) -> tuple[frozenset[int], frozen
     with the undecided ones: the two agree only when ``e`` is conflict-free.
     """
     e = frozenset(e)
-    th = theory_closure(d1, e)
-    live = frozenset(a for a in d1.assumptions if d1.contrary[a] not in th)
+    live = _undefeated(d1, theory_closure(d1, e))
     ua = live - e
     return ua, tainted(d1, live, ua)
+
+
+def _undefeated(d1: Abaf, th: frozenset[int]) -> frozenset[int]:
+    """The assumptions of ``d1`` whose contraries ``th`` does not hold."""
+    return frozenset(a for a in d1.assumptions if d1.contrary[a] not in th)
 
 
 def split_solve(

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import importlib.util
 import random
+import sys
 from pathlib import Path
 
 from splitkit.aba import Abaf, Rule
@@ -114,10 +115,19 @@ def support_sets(table) -> dict[int, tuple[frozenset[int], ...]]:
     }
 
 
+def _repo_module(name: str, path: str):
+    spec = importlib.util.spec_from_file_location(name, Path(__file__).resolve().parent.parent / path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module  # dataclasses look their module up there
+    spec.loader.exec_module(module)
+    return module
+
+
 def bench_split_layered():
     """``layered(seed, block)`` of ``scripts/bench_split.py``: two stacked blocks."""
-    spec = importlib.util.spec_from_file_location(
-        "bench_split", Path(__file__).resolve().parent.parent / "scripts" / "bench_split.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module.layered
+    return _repo_module("bench_split", "scripts/bench_split.py").layered
+
+
+def perfbench_stack():
+    """``stack(gen, blocks, block)`` of ``perfbench/workloads.py``: stacked blocks."""
+    return _repo_module("workloads", "perfbench/workloads.py").stack

@@ -1,6 +1,8 @@
 import pytest
 
-from helpers import abaf7, abaf_chain3, abaf_vuln, bench_split_layered, cyclic_abaf, ids, nm, setaf7
+from helpers import (
+    abaf7, abaf_chain3, abaf_vuln, bench_split_layered, cyclic_abaf, ids, nm, perfbench_stack, setaf7,
+)
 from splitkit import finder
 from splitkit.aba import Abaf
 from splitkit.errors import DegenerateSplit, NonAssumptionBodyOut, NotAtomClosed, ValidationError
@@ -17,6 +19,7 @@ from splitkit.finder import (
 )
 from splitkit.generate import random_abaf, random_setaf
 from splitkit.graphs import condense, flow_network, max_flow, order_ideals
+from splitkit.instantiate import aba_to_setaf
 from splitkit.setaf import Setaf
 from splitkit.split_aba import make_quasi_splitting, make_splitting, vulnerabilities
 from splitkit.split_setaf import make_splitting as make_setaf_splitting
@@ -136,12 +139,29 @@ TARGETS = (0, 0.3, 0.5, 0.8, 1)
 
 def first_balanced_bottom(sf, target):
     return min(
-        setaf_splitting_bottoms(sf, nontrivial=True),
+        setaf_splitting_bottoms(sf, limit=None, nontrivial=True),
         key=lambda s: (abs(len(s) - target * sf.n_args), len(s), tuple(sorted(s))),
     )
 
 
+def check_setaf_choice(sf, target):
+    """The SETAF finder scores only chain prefixes, so its pick is checked
+    against the best score over every nontrivial bottom, not by identity."""
+    bottoms = setaf_splitting_bottoms(sf, limit=None, nontrivial=True)
+    if not bottoms:
+        with pytest.raises(DegenerateSplit):
+            find_setaf_splitting(sf, target)
+        return
+    chosen = find_setaf_splitting(sf, target)
+    make_setaf_splitting(sf, chosen)
+    assert chosen and chosen != frozenset(range(sf.n_args))
+    best = min(abs(len(s) - target * sf.n_args) for s in bottoms)
+    assert abs(len(chosen) - target * sf.n_args) == best
+
+
 def test_finders_pick_the_first_balanced_candidate():
+    """The ABA finder picks the first balanced candidate; the SETAF finder
+    picks a valid bottom of optimal score, here and on the 500 c07 SETAFs."""
     for seed in range(80):
         d = random_abaf(seed, max_assumptions=3 + seed % 6, max_rules=seed % 10)
         sf = random_setaf(seed, max_args=2 + seed % 8, max_attacks=seed % 12)
@@ -152,21 +172,43 @@ def test_finders_pick_the_first_balanced_candidate():
             else:
                 with pytest.raises(DegenerateSplit):
                     find_balanced_splitting(d, t)
-            if setaf_splitting_bottoms(sf, nontrivial=True):
-                assert find_setaf_splitting(sf, t) == first_balanced_bottom(sf, t)
-            else:
-                with pytest.raises(DegenerateSplit):
-                    find_setaf_splitting(sf, t)
+            check_setaf_choice(sf, t)
+    for i in range(500):
+        sf = random_setaf(7000 + i, 8, 10, 3)
+        for t in TARGETS:
+            check_setaf_choice(sf, t)
 
 
 def test_truncated_walk_keeps_the_candidate_order_choice():
-    """13 independent pairs have 2^13 ideals; the finder sees the first IDEAL_LIMIT."""
+    """13 independent pairs have 2^13 ideals; the ABA finder sees the first
+    IDEAL_LIMIT, and the SETAF finder matches the walk over all of them."""
     d = Abaf.from_names(assumptions={f"a{i}": f"c{i}" for i in range(13)}, rules=[])
     assert len(order_ideals(condense(dependency_graph(d)), IDEAL_LIMIT)) == IDEAL_LIMIT
     sf = Setaf.from_names([f"a{i}" for i in range(13)], [])
+    assert len(setaf_splitting_bottoms(sf, limit=None)) == 1 << 13
     for t in TARGETS:
         assert find_balanced_splitting(d, t) == balanced_candidates(d, t)[0]
         assert find_setaf_splitting(sf, t) == first_balanced_bottom(sf, t)
+
+
+def test_find_setaf_splitting_never_walks(monkeypatch):
+    """The SETAF finder scores chain prefixes and never enumerates ideals,
+    so 2^20 ideals cost it nothing and nothing is truncated."""
+    def refuse(*args):
+        raise AssertionError("find_setaf_splitting walked the order ideals")
+
+    monkeypatch.setattr(finder, "order_ideals", refuse)
+    free = Setaf.from_names([f"a{i}" for i in range(20)], [])
+    assert len(find_setaf_splitting(free)) == 10
+    stack = perfbench_stack()
+    for gen in range(4):
+        sf = aba_to_setaf(stack(gen, 4, 8))
+        chosen = find_setaf_splitting(sf)
+        make_setaf_splitting(sf, chosen)
+        assert 0 < len(chosen) < sf.n_args
+    cyclic = Setaf.from_names(["a", "b", "c"], [(["a"], "b"), (["b"], "c"), (["c"], "a")])
+    with pytest.raises(DegenerateSplit):
+        find_setaf_splitting(cyclic)
 
 
 def test_malformed_balance_targets_are_rejected():
