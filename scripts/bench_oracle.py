@@ -1,11 +1,15 @@
 #!/usr/bin/env python3
-"""Time the ABA oracle's layers on the pieces that splitting hands it.
+"""Time the ABA and SETAF oracles' layers on the pieces that splitting hands them.
 
-The pieces are the bottoms and the distinct modified tops of the twenty
+The ABA pieces are the bottoms and the distinct modified tops of the twenty
 two-block stacks of ``bench_split.layered`` (generator seeds 0-19, blocks of
 8 and 9 assumptions, as in the benchmark's ``layered`` workload), each cut
-by ``find_balanced_splitting``.  One row per layer, each the total over its
-pieces:
+by ``find_balanced_splitting``.  The SETAF pieces are those of the first
+``SETAFS`` SETAFs of acceptance criterion c07 (``random_setaf(7000 + i,
+max_args=8, max_attacks=10, max_tail=3)``), each cut at every nontrivial
+splitting bottom, with the bottom extensions that c07 takes: ``e & A1`` for
+each extension ``e`` of the whole SETAF under a split semantics.  One row per
+layer, each the total over its pieces:
 
 - ``construct``: ``Abaf(...)`` on every distinct bottom and top;
 - ``minimal_supports``: the support table of each, on a fresh copy;
@@ -14,8 +18,13 @@ pieces:
   extensions leave, on fresh copies whose support table is already built,
   so the row holds the attack lists, the sweep and the conversion to sets;
 - ``modification``: ``AbaSplitting.modification`` for every pair of a
-  splitting and one of its bottom extensions, under any split semantics.
+  splitting and one of its bottom extensions, under any split semantics;
+- ``setaf_construct``, ``setaf_enumerate_<sem>`` and ``setaf_modification``:
+  the same for the SETAF pieces, ``Setaf(...)`` and
+  ``SetafSplitting.modification`` (its ``_top``) in place of the ABA ones.
 
+Both ``modification`` rows run on splittings made afresh for each run, so
+they include whatever a splitting computes once, on its first modification.
 Each row is the median of five runs over all its pieces.  The run is stored
 under ``--label`` in ``--out``; runs under other labels already in that
 file are kept, so one file can hold the same rows timed on two trees of the
@@ -32,12 +41,17 @@ import statistics
 import time
 
 from bench_split import layered
+from splitkit import setaf
 from splitkit.aba import Abaf, enumerate_extensions, minimal_supports
-from splitkit.finder import find_balanced_splitting
+from splitkit.finder import find_balanced_splitting, setaf_splitting_bottoms
+from splitkit.generate import random_setaf
 from splitkit.semantics import Semantics
+from splitkit.setaf import Setaf
 from splitkit.split_aba import make_splitting
+from splitkit.split_setaf import make_splitting as make_setaf_splitting
 
 STACKS = 20
+SETAFS = 100
 REPEATS = 5
 SPLIT_SEMS = (Semantics.STB, Semantics.ADM, Semantics.COM, Semantics.PREF, Semantics.GRD)
 
@@ -46,22 +60,60 @@ def copy(fw: Abaf) -> Abaf:
     return Abaf(fw.names, fw.rules, fw.assumptions, fw.contrary)
 
 
+def copy_setaf(sf: Setaf) -> Setaf:
+    return Setaf(sf.names, sf.attacks)
+
+
 def pieces():
-    """The distinct bottoms and tops, those solved under each semantics, and
-    every (splitting, bottom extension) pair."""
+    """The distinct ABA bottoms and tops, those solved under each semantics,
+    and every (framework, splitting set, bottom extension) triple."""
     everything: dict[Abaf, None] = {}
     solved = {sem: {} for sem in SPLIT_SEMS}
-    pairs = {}
+    triples = {}
     for gen in range(STACKS):
         d = layered(gen, 8 + gen % 2)
-        sp = make_splitting(d, find_balanced_splitting(d))
+        s = find_balanced_splitting(d)
+        sp = make_splitting(d, s)
         for sem in SPLIT_SEMS:
             solved[sem][sp.bottom] = everything[sp.bottom] = None
             for e1 in enumerate_extensions(copy(sp.bottom), sem):
                 top = sp.modification(e1)
                 solved[sem][top] = everything[top] = None
-                pairs[(gen, e1)] = (sp, e1)
-    return list(everything), {sem: list(fws) for sem, fws in solved.items()}, list(pairs.values())
+                triples[(gen, e1)] = (d, s, e1)
+    return list(everything), {sem: list(fws) for sem, fws in solved.items()}, list(triples.values())
+
+
+def setaf_pieces():
+    """The same for the SETAF pieces; the splitting set is the bottom A1."""
+    everything: dict[Setaf, None] = {}
+    solved = {sem: {} for sem in SPLIT_SEMS}
+    triples = {}
+    for i in range(SETAFS):
+        sf = random_setaf(7000 + i, max_args=8, max_attacks=10, max_tail=3)
+        for a1 in setaf_splitting_bottoms(sf, nontrivial=True):
+            sp = make_setaf_splitting(sf, a1)
+            bottom = sp.bottom[0]
+            for sem in SPLIT_SEMS:
+                solved[sem][bottom] = everything[bottom] = None
+                for e in setaf.enumerate_extensions(sf, sem):
+                    e1 = e & a1
+                    top = sp.modification(e1)
+                    solved[sem][top] = everything[top] = None
+                    triples[(i, a1, e1)] = (sf, a1, e1)
+    return list(everything), {sem: list(fws) for sem, fws in solved.items()}, list(triples.values())
+
+
+def fresh_splittings(make, triples):
+    """Each (framework, set, extension) triple as (splitting, extension), with
+    one splitting made afresh per distinct (framework, set)."""
+    def prepare():
+        made = {}
+        for fw, s, _ in triples:
+            if (id(fw), s) not in made:
+                made[id(fw), s] = make(fw, s)
+        return [(made[id(fw), s], e1) for fw, s, e1 in triples]
+
+    return prepare
 
 
 def timed(prepare, work) -> dict:
@@ -92,12 +144,15 @@ def main() -> None:
     ap.add_argument("--out", default="BENCH_oracle.json")
     args = ap.parse_args()
 
-    everything, solved, pairs = pieces()
+    everything, solved, triples = pieces()
     rows = []
 
     def row(layer: str, count: int, result: dict) -> None:
         rows.append({"layer": layer, "pieces": count, **result})
         print(json.dumps(rows[-1]), flush=True)
+
+    def modify(pair):
+        pair[0].modification(pair[1])
 
     row("construct", len(everything), timed(lambda: everything, copy))
     row("minimal_supports", len(everything),
@@ -105,7 +160,16 @@ def main() -> None:
     for sem in SPLIT_SEMS:
         row(f"enumerate_{sem.value}", len(solved[sem]),
             timed(with_table(solved[sem]), lambda fw: enumerate_extensions(fw, sem)))
-    row("modification", len(pairs), timed(lambda: pairs, lambda pair: pair[0].modification(pair[1])))
+    row("modification", len(triples), timed(fresh_splittings(make_splitting, triples), modify))
+
+    everything, solved, triples = setaf_pieces()
+    row("setaf_construct", len(everything), timed(lambda: everything, copy_setaf))
+    for sem in SPLIT_SEMS:
+        row(f"setaf_enumerate_{sem.value}", len(solved[sem]),
+            timed(lambda: [copy_setaf(sf) for sf in solved[sem]],
+                  lambda sf: setaf.enumerate_extensions(sf, sem)))
+    row("setaf_modification", len(triples),
+        timed(fresh_splittings(make_setaf_splitting, triples), modify))
 
     doc = {"script": "scripts/bench_oracle.py", "runs": {}}
     if os.path.exists(args.out):

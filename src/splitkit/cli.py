@@ -1,6 +1,7 @@
 """Command-line interface.
 
-Exit codes: 0 ok, 1 usage, 2 parse error, 3 validation/guard error,
+Exit codes: 0 ok, 1 usage (an unreadable or unwritable path included), 2
+parse error (input that is not UTF-8 included), 3 validation/guard error,
 4 split-vs-direct mismatch found by ``check``.
 """
 
@@ -31,9 +32,11 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _read(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
-    return Path(path).read_text(encoding="utf-8")
+    data = sys.stdin.buffer.read() if path == "-" else Path(path).read_bytes()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as err:
+        raise ParseError(data.count(b"\n", 0, err.start) + 1, "input is not UTF-8 text") from None
 
 
 def _write_out(args, text: str) -> None:
@@ -165,6 +168,20 @@ def cmd_check(args) -> int:
     return 4 if mismatches else 0
 
 
+def _at_least(low: int):
+    """An argparse type: an integer no smaller than ``low``."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+
+    return parse
+
+
 def _add_guard(p):
     p.add_argument("--guard", type=int, default=None,
                    help="enumeration guard (also via SPLITKIT_GUARD)")
@@ -211,13 +228,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gen", help="emit a seeded random instance")
     p.add_argument("--format", choices=("aba", "setaf"), default="aba")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--assumptions", type=int, default=5)
-    p.add_argument("--rules", type=int, default=6)
-    p.add_argument("--max-body", type=int, default=2)
-    p.add_argument("--extra", type=int, default=1)
-    p.add_argument("--args", type=int, default=6)
-    p.add_argument("--attacks", type=int, default=8)
-    p.add_argument("--max-tail", type=int, default=3)
+    p.add_argument("--assumptions", type=_at_least(1), default=5)
+    p.add_argument("--rules", type=_at_least(0), default=6)
+    p.add_argument("--max-body", type=_at_least(1), default=2)
+    p.add_argument("--extra", type=_at_least(0), default=1)
+    p.add_argument("--args", type=_at_least(1), default=6)
+    p.add_argument("--attacks", type=_at_least(0), default=8)
+    p.add_argument("--max-tail", type=_at_least(1), default=3)
     p.add_argument("--output", default=None)
     p.set_defaults(func=cmd_gen)
 
@@ -244,6 +261,9 @@ def main(argv=None) -> int:
     except SplitkitError as err:
         print(f"error: {err}", file=sys.stderr)
         return 3
+    except OSError as err:  # a path that cannot be read or written
+        print(f"{parser.prog}: error: {err}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -126,8 +126,16 @@ def _most_balanced(ideals: list[int], total: int, target: float) -> frozenset[in
     return unmask(win, range(total))
 
 
+def _trivial_only(total: int) -> None:
+    """Fewer than two atoms or arguments leave only the trivial splittings,
+    so the finders stop before building any graph."""
+    if total < 2:
+        raise DegenerateSplit("only the trivial splittings exist")
+
+
 def find_balanced_splitting(abaf: Abaf, target: float = 0.5) -> frozenset[int]:
     _check_target(target)
+    _trivial_only(abaf.n_atoms)
     cond = condense(dependency_graph(abaf))
     best = _most_balanced(order_ideals(cond, IDEAL_LIMIT), abaf.n_atoms, target)
     make_splitting(abaf, best)  # never trust the construction unvalidated
@@ -136,6 +144,7 @@ def find_balanced_splitting(abaf: Abaf, target: float = 0.5) -> frozenset[int]:
 
 def find_setaf_splitting(sf: Setaf, target: float = 0.5) -> frozenset[int]:
     _check_target(target)
+    _trivial_only(sf.n_args)
     cond = condense(primal_graph(sf))
     best = _most_balanced(prefix_ideals(cond, [len(c) for c in cond.sccs]), sf.n_args, target)
     make_setaf_splitting(sf, best)

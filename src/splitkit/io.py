@@ -183,13 +183,12 @@ def emit_setaf(sf: Setaf) -> str:
 
 
 def format_extensions(extensions: Iterable[frozenset[int]], names: tuple[str, ...]) -> str:
-    exts = canonical_sets(extensions)
-    if not exts:
+    """One ``E <member names>`` line per extension, in canonical order, or
+    ``NO``; each extension's member order comes from its canonical sort key."""
+    keys = canonical_sets(extensions, keys=True)
+    if not keys:
         return "NO\n"
-    lines = []
-    for ext in exts:
-        lines.append(("E " + " ".join(names[a] for a in sorted(ext))).rstrip())
-    return "\n".join(lines) + "\n"
+    return "".join(("E " + " ".join([names[a] for a in key])).rstrip() + "\n" for key in keys)
 
 
 def parse_atom_set(text: str, n: int) -> frozenset[int]:

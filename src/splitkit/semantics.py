@@ -168,28 +168,54 @@ def _least_fixpoint(n: int, attacks: Sequence[tuple[int, int]]) -> int:
         mask = defended
 
 
-def mask_of(items: Iterable[int], index: dict) -> int:
+def to_mask(items: Iterable[int]) -> int:
+    """The mask with bit i set for each item i; ``members`` inverts it."""
     mask = 0
-    for it in items:
-        mask |= 1 << index[it]
+    for i in items:
+        mask |= 1 << i
     return mask
 
 
+def members(mask: int) -> list[int]:
+    """The positions of the set bits of ``mask``, lowest first."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
 def unmask(mask: int, order: Sequence) -> frozenset:
-    return frozenset(order[i] for i in range(len(order)) if mask >> i & 1)
+    """The items of ``order`` at the set bits of ``mask``."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(order[low.bit_length() - 1])
+        mask ^= low
+    return frozenset(out)
 
 
-def canonical_sets(sets: Iterable[frozenset]) -> tuple[frozenset, ...]:
-    """Deterministic family order: lexicographic on the sorted member ids."""
-    return tuple(sorted(set(sets), key=lambda s: tuple(sorted(s))))
+def canonical_sets(sets: Iterable[frozenset], keys: bool = False) -> tuple:
+    """Deterministic family order: lexicographic on the sorted member ids.
+
+    Each distinct set is sorted once, and that sorted list is its key.  With
+    ``keys`` the keys themselves come back in place of the sets, for a caller
+    that lists the members anyway.  Repeats are dropped in order, so a family
+    that is already canonical costs one linear pass of the sort.
+    """
+    if keys:
+        return tuple(sorted(map(sorted, dict.fromkeys(sets))))
+    return tuple(sorted(dict.fromkeys(sets), key=sorted))
 
 
 # -- the splitting schema ------------------------------------------------------
 
 F = TypeVar("F")
 
-# Solves one framework, a bottom or a top, under one semantics.
-SubSolver = Callable[[F, Semantics], Iterable[frozenset[int]]]
+# Solves one framework, a bottom or a top, under one semantics, returning its
+# family as a sequence of frozensets, as ``enumerate_extensions`` does.
+SubSolver = Callable[[F, Semantics], Sequence[frozenset[int]]]
 
 SPLIT_SEMANTICS = (Semantics.STB, Semantics.ADM, Semantics.COM, Semantics.PREF, Semantics.GRD)
 
@@ -210,11 +236,12 @@ def split_union(
     if semantics not in SPLIT_SEMANTICS:
         raise UnsupportedSemantics(f"split solving does not cover {semantics.value}")
     results: set[frozenset[int]] = set()
-    solved: dict[F, tuple[frozenset[int], ...]] = {}
+    solved: dict[F, Sequence[frozenset[int]]] = {}
     for e1 in solver(bottom, semantics):
-        top, lift = top_of(frozenset(e1))
-        if top not in solved:
-            solved[top] = tuple(frozenset(e2) for e2 in solver(top, semantics))
-        for e2 in solved[top]:
+        top, lift = top_of(e1)
+        family = solved.get(top)
+        if family is None:
+            family = solved[top] = solver(top, semantics)
+        for e2 in family:
             results.add(lift(e2))
     return canonical_sets(results)

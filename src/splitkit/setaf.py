@@ -18,8 +18,8 @@ from splitkit.semantics import (
     canonical_sets,
     check_guard,
     compute_families,
-    mask_of,
-    unmask,
+    members,
+    to_mask,
 )
 
 Attack = tuple[frozenset[int], int]
@@ -125,14 +125,13 @@ def attack_range(
 def enumerate_extensions(
     sf: Setaf, semantics: Semantics, guard: Optional[int] = None
 ) -> tuple[frozenset[int], ...]:
-    """The family of one semantics, cached."""
+    """The family of one semantics, cached, as are the attacks' tail masks."""
     if semantics not in sf._cache:
         check_guard(sf.n_args, guard)
-        order = list(range(sf.n_args))
-        index = {a: a for a in order}
-        attacks = [(mask_of(t, index), h) for t, h in sf.attacks]
-        masks = compute_families(sf.n_args, attacks, semantics)
-        sf._cache[semantics] = canonical_sets(unmask(m, order) for m in masks)
+        if "tails" not in sf._cache:
+            sf._cache["tails"] = [(to_mask(tail), head) for tail, head in sf.attacks]
+        masks = compute_families(sf.n_args, sf._cache["tails"], semantics)
+        sf._cache[semantics] = canonical_sets(frozenset(members(m)) for m in masks)
     return sf._cache[semantics]
 
 

@@ -6,7 +6,10 @@ bottom extension E is pushed into the top in two steps: the E-reduct deletes
 rules whose bottom-side body atoms E cannot derive and strips derived atoms
 from the remaining bodies; the E-modification then re-adds, guarded by one
 fresh self-attacking assumption, the rules that were lost only because their
-bodies stayed undecided.
+bodies stayed undecided.  A splitting computes its tables once, on first use:
+the bottom rules as (body mask, head bit) pairs, each top rule's S-part mask
+with its reduct and guarded forms, and the fresh names.  A modification then
+runs its closures on ints and picks prebuilt rules.
 
 Quasi-splittings relax the cut: bottom rule bodies may mention assumptions
 outside S ("vulnerabilities") whose contraries are derived up top.  The
@@ -19,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Optional
+from typing import Iterable, NamedTuple, Optional
 
 from splitkit.aba import (
     Abaf, Rule, atom_closure, enumerate_extensions, fresh_name, tainted, theory_closure,
@@ -30,12 +33,45 @@ from splitkit.errors import (
     NonAssumptionBodyOut,
     NotAtomClosed,
 )
-from splitkit.semantics import Semantics, SubSolver, split_union
+from splitkit.semantics import Semantics, SubSolver, split_union, to_mask
 from splitkit.semantics import canonical_sets  # noqa: F401  perfbench/layers.py rebinds it here
+
+
+class _Tables(NamedTuple):
+    """One splitting's rules as int masks over atom ids, with each top rule's
+    reduct form prebuilt."""
+
+    s: int
+    bottom: tuple[tuple[int, int], ...]  # (body mask, head bit) per bottom rule
+    pairs: tuple[tuple[int, int], ...]  # (bit, contrary bit) per bottom assumption
+    top: tuple[tuple[int, Rule], ...]  # (S-part mask, Rule(head, body - S))
+    contrary: dict[int, int]  # the top's contrary map
+
+
+class _Guarded(NamedTuple):
+    """The fresh ``_u``/``_cu`` pair and the top rules guarded by ``_u``."""
+
+    names: tuple[str, ...]
+    assumptions: frozenset[int]
+    contrary: dict[int, int]
+    guard: Rule  # _cu <- _u
+    # (S-part mask, Rule(head, (body - S) | {_u})), in top order, for each
+    # top rule whose body meets S: no other rule can be guarded
+    rules: tuple[tuple[int, Rule], ...]
 
 
 @dataclass(eq=False)
 class AbaSplitting:
+    """A splitting of ``base`` by the sentence set ``s``.
+
+    Reducts and modifications are built from tables computed once per
+    splitting, on first use (``_tables``, and ``_guarded`` once some bottom
+    extension leaves an assumption undecided).  Every closure runs on int
+    masks, and each top rule is only picked, never rebuilt: the theory of a
+    bottom extension lies inside S, so a top rule survives the reduct either
+    as ``body - S`` or not at all.
+    """
+
     base: Abaf
     s: frozenset[int]
     bottom: Abaf
@@ -44,13 +80,34 @@ class AbaSplitting:
     a1: frozenset[int]
     a2: frozenset[int]
 
-    def reduct(self, e: Iterable[int]) -> Abaf:
-        th = theory_closure(self.bottom, self._check_e(e))
-        contrary = {a: self.base.contrary[a] for a in self.a2}
-        return Abaf(self.base.names, self._reduct_rules(th), self.a2, contrary)
+    @cached_property
+    def _tables(self) -> _Tables:
+        s = to_mask(self.s)
+        top = []
+        for r in self.r2:
+            part = to_mask(r.body) & s
+            top.append((part, Rule(r.head, r.body - self.s) if part else r))
+        return _Tables(
+            s,
+            tuple((to_mask(r.body), 1 << r.head) for r in self.bottom.rules),
+            tuple((1 << a, 1 << self.base.contrary[a]) for a in self.a1),
+            tuple(top),
+            {a: self.base.contrary[a] for a in self.a2},
+        )
 
-    def _reduct_rules(self, th: frozenset[int]) -> list[Rule]:
-        return [Rule(r.head, r.body - th) for r in self.r2 if r.body & self.s <= th]
+    @cached_property
+    def _guarded(self) -> _Guarded:
+        names, xu, cu = _with_fresh_pair(self.base.names, "_u", "_cu")
+        u = frozenset({xu})
+        return _Guarded(
+            names, self.a2 | u, {**self._tables.contrary, xu: cu}, Rule(cu, u),
+            tuple((part, Rule(rule.head, rule.body | u)) for part, rule in self._tables.top if part),
+        )
+
+    def reduct(self, e: Iterable[int]) -> Abaf:
+        t = self._tables
+        th = _closure(t.bottom, to_mask(self._check_e(e)))
+        return Abaf(self.base.names, _reduct_rules(t, th), self.a2, t.contrary)
 
     def undecided(self, e: Iterable[int]) -> tuple[frozenset[int], frozenset[int]]:
         return undecided_theory(self.bottom, self._check_e(e))
@@ -69,10 +126,7 @@ class AbaSplitting:
         """
         e = self._check_e(e)
         live = _undefeated(self.bottom, theory_closure(self.bottom, e))
-        return self._incompatible(e, theory_closure(self.bottom, live))
-
-    def _incompatible(self, e: frozenset[int], derivable: frozenset[int]) -> frozenset[int]:
-        """``incompatible``, given what the undefeated assumptions derive."""
+        derivable = theory_closure(self.bottom, live)
         return (self.s - derivable) | frozenset(self.base.contrary[a] for a in e)
 
     def modification(self, e: Iterable[int]) -> Abaf:
@@ -81,26 +135,30 @@ class AbaSplitting:
 
         One closure of ``e`` serves the reduct and the undecided assumptions,
         and one closure of the undefeated assumptions serves the undecided
-        theory and the incompatible sentences.
+        theory (``tainted``) and the incompatible sentences.  All three live
+        inside S, so a top rule's S-part mask decides each test.
         """
-        e = self._check_e(e)
-        th = theory_closure(self.bottom, e)
-        rules = self._reduct_rules(th)
-        contrary = {a: self.base.contrary[a] for a in self.a2}
-        live = _undefeated(self.bottom, th)
-        ua = live - e
-        if not ua:
-            return Abaf(self.base.names, rules, self.a2, contrary)
-        derivable = theory_closure(self.bottom, live)
-        ut = tainted(self.bottom, live, ua, derivable)
-        inc = self._incompatible(e, derivable)
-        names, xu, cu = _with_fresh_pair(self.base.names, "_u", "_cu")
-        rules.append(Rule(cu, frozenset({xu})))
-        for r in self.r2:
-            if not r.body & inc and r.body & ut:
-                rules.append(Rule(r.head, (r.body - self.s) | {xu}))
-        contrary[xu] = cu
-        return Abaf(names, rules, self.a2 | {xu}, contrary)
+        t = self._tables
+        e = to_mask(self._check_e(e))
+        th = _closure(t.bottom, e)
+        rules = _reduct_rules(t, th)
+        live = 0
+        for bit, contrary in t.pairs:
+            if not th & contrary:
+                live |= bit
+        undecided = live & ~e
+        if not undecided:
+            return Abaf(self.base.names, rules, self.a2, t.contrary)
+        derivable = _closure(t.bottom, live)
+        taint = _taint(t.bottom, derivable, undecided)
+        ruled_out = t.s & ~derivable
+        for bit, contrary in t.pairs:
+            if e & bit:
+                ruled_out |= contrary
+        g = self._guarded
+        rules.append(g.guard)
+        rules += [rule for part, rule in g.rules if part & taint and not part & ruled_out]
+        return Abaf(g.names, rules, g.assumptions, g.contrary)
 
     def solve(
         self,
@@ -121,6 +179,38 @@ class AbaSplitting:
         if not s <= self.a1:
             raise ValueError("bottom extension must be a subset of the bottom assumptions")
         return s
+
+
+def _closure(rules: tuple[tuple[int, int], ...], derived: int) -> int:
+    """``theory_closure`` on masks: the heads of the (body, head) rules that
+    fire from ``derived``, added until nothing changes."""
+    changed = True
+    while changed:
+        changed = False
+        for body, head in rules:
+            if not derived & head and body & derived == body:
+                derived |= head
+                changed = True
+    return derived
+
+
+def _taint(rules: tuple[tuple[int, int], ...], derivable: int, seed: int) -> int:
+    """``tainted`` on masks, given the closure ``derivable`` of the allowed set."""
+    usable = [(body, head) for body, head in rules if body & derivable == body]
+    out = seed
+    changed = True
+    while changed:
+        changed = False
+        for body, head in usable:
+            if not out & head and body & out:
+                out |= head
+                changed = True
+    return out
+
+
+def _reduct_rules(t: _Tables, th: int) -> list[Rule]:
+    """The top rules whose S-part the bottom theory ``th`` derives, minus S."""
+    return [rule for part, rule in t.top if part & th == part]
 
 
 def make_splitting(abaf: Abaf, sentence_set: Iterable[int]) -> AbaSplitting:

@@ -6,28 +6,56 @@ bottom is solved first; each of its extensions is propagated into the top by
 the reduct (deleting defeated arguments and simplifying links) and the
 modification (turning undecided links into set-self-attacks).  Combining
 bottom and top extensions yields exactly the extensions of the whole SETAF.
+A splitting computes its tables once, on first use: the attacks as tail
+masks, with every attack a top can hold prebuilt in the top's ids, so a top
+is picked with int operations and renumbered through one remap table.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Optional
+from typing import Iterable, NamedTuple, Optional
 
 from splitkit.errors import InvalidSplit
-from splitkit.semantics import Semantics, SubSolver, split_union
+from splitkit.semantics import Semantics, SubSolver, split_union, to_mask
 from splitkit.semantics import canonical_sets  # noqa: F401  perfbench/layers.py rebinds it here
 from splitkit.setaf import (
     Attack,
     Setaf,
-    attacked_args,
     enumerate_extensions,
     induced,
 )
 
 
+class _Tables(NamedTuple):
+    """One splitting's attacks as tail masks, with every attack a top can
+    hold prebuilt in the top's own ids.
+
+    Bottom-side masks are over base ids; top-side masks and the prebuilt
+    attacks are over positions in the sorted A2, which are the top's ids
+    whenever no argument of A2 is defeated.
+    """
+
+    order: tuple[int, ...]  # sorted A2
+    names: tuple[str, ...]  # their names
+    r1: tuple[tuple[int, int], ...]  # (tail mask, head bit)
+    r2: tuple[tuple[int, Attack], ...]  # (tail and head bits, attack)
+    # (bottom tail mask, top tail mask, head bit, link attack, guarded attack)
+    r3: tuple[tuple[int, int, int, Attack, Attack], ...]
+
+
 @dataclass(eq=False)
 class SetafSplitting:
+    """A splitting of ``base`` into the bottom A1 and the top A2.
+
+    Reducts and modifications are built from tables computed once per
+    splitting, on first use: ``r1``, ``r2`` and ``r3`` as tail masks, with
+    the top's attacks prebuilt in the ids of the sorted A2.  A top picks
+    among them with int operations; when an argument of A2 is defeated, one
+    remap table renumbers the picked attacks densely.
+    """
+
     base: Setaf
     a1: frozenset[int]
     a2: frozenset[int]
@@ -40,24 +68,50 @@ class SetafSplitting:
         """The bottom, densely renumbered, with its id order."""
         return induced(self.base, self.a1, self.r1)
 
+    @cached_property
+    def _tables(self) -> _Tables:
+        order = tuple(sorted(self.a2))
+        local = {a: i for i, a in enumerate(order)}
+        r2 = []
+        for t, h in self.r2:
+            tail = frozenset(map(local.__getitem__, t))
+            r2.append((to_mask(tail) | 1 << local[h], (tail, local[h])))
+        r3 = []
+        for t, h in self.r3:
+            rest = frozenset(local[a] for a in t if a in local)
+            r3.append((to_mask(t & self.a1), to_mask(rest), 1 << local[h],
+                       (rest, local[h]), (rest | {local[h]}, local[h])))
+        return _Tables(
+            order, tuple(self.base.names[a] for a in order),
+            tuple((to_mask(t), 1 << h) for t, h in self.r1), tuple(r2), tuple(r3),
+        )
+
     # -- reduct / modification ----------------------------------------------
 
     def _top(self, e1: frozenset[int], modified: bool = True) -> tuple[Setaf, tuple[int, ...]]:
         """The reduct of the top w.r.t. ``e1``, or its modification, densely
         renumbered with its id order."""
-        defeated = frozenset(h for t, h in self.r3 if t <= e1)
-        args = self.a2 - defeated
-        attacks = list(self.r2)
-        if defeated:
-            attacks = [(t, h) for t, h in attacks if h in args and t <= args]
-        for t, h in self.r3:
-            rest = t - self.a1
-            if rest and t & self.a1 <= e1 and not t & defeated and h in args:
-                attacks.append((rest, h))
+        t = self._tables
+        e = to_mask(e1)
+        defeated = self._defeated(e)
+        attacks = [att for bits, att in t.r2 if not bits & defeated]
+        for bottom, top, head, link, _ in t.r3:
+            # a link with its whole tail in e1 has a defeated head
+            if bottom & e == bottom and not (top | head) & defeated:
+                attacks.append(link)
         if modified:
-            undecided = self._undecided(e1, defeated)
-            attacks += [((t & args) | {h}, h) for t, h in undecided if h in args]
-        return induced(self.base, args, attacks)
+            for i in self._undecided(e, defeated):
+                _, _, head, _, guarded = t.r3[i]
+                if not head & defeated:
+                    attacks.append(guarded)
+        if not defeated:
+            return Setaf(t.names, attacks), t.order
+        remap = [-1] * len(t.order)
+        kept = [i for i in range(len(t.order)) if not defeated >> i & 1]
+        for new, i in enumerate(kept):
+            remap[i] = new
+        dense = [(frozenset(map(remap.__getitem__, tail)), remap[h]) for tail, h in attacks]
+        return Setaf(tuple(t.names[i] for i in kept), dense), tuple(t.order[i] for i in kept)
 
     def reduct(self, e1: Iterable[int]) -> Setaf:
         return self._top(self._check_e1(e1), modified=False)[0]
@@ -66,16 +120,28 @@ class SetafSplitting:
         return self._top(self._check_e1(e1))[0]
 
     def undecided_links(self, e1: Iterable[int]) -> tuple[Attack, ...]:
-        e1 = self._check_e1(e1)
-        return self._undecided(e1, frozenset(h for t, h in self.r3 if t <= e1))
+        e = to_mask(self._check_e1(e1))
+        return tuple(self.r3[i] for i in self._undecided(e, self._defeated(e)))
 
-    def _undecided(self, e1: frozenset[int], defeated: frozenset[int]) -> tuple[Attack, ...]:
-        """Links neither attacked by ``e1`` nor decided in the bottom: their
-        tails meet bottom arguments outside the range of ``e1``."""
-        plus_r1 = attacked_args(self.base, e1, self.r1)
-        open_a1 = self.a1 - e1 - plus_r1
-        attacked = plus_r1 | defeated
-        return tuple((t, h) for t, h in self.r3 if t & open_a1 and not t & attacked)
+    def _defeated(self, e: int) -> int:
+        """The top arguments (bits over the sorted A2) that links whose whole
+        tail lies in ``e`` attack."""
+        defeated = 0
+        for bottom, top, head, _, _ in self._tables.r3:
+            if not top and bottom & e == bottom:
+                defeated |= head
+        return defeated
+
+    def _undecided(self, e: int, defeated: int) -> list[int]:
+        """Indexes of the links neither attacked by ``e`` nor decided in the
+        bottom: their tails meet bottom arguments outside the range of ``e``."""
+        t = self._tables
+        plus = 0
+        for tail, head in t.r1:
+            if tail & e == tail:
+                plus |= head
+        return [i for i, (bottom, top, _, _, _) in enumerate(t.r3)
+                if bottom & ~e and not bottom & plus and not top & defeated]
 
     # -- the incremental solver ----------------------------------------------
 

@@ -218,6 +218,34 @@ def test_exit_codes(tmp_path, capsys, monkeypatch):
     with pytest.raises(SystemExit) as err:  # the finder never enumerates
         main(["find-split", e, "--guard", "1"])
     assert err.value.code == 1
+    monkeypatch.delenv("SPLITKIT_GUARD")
+    # a path that cannot be read or written is a usage error, on one line
+    missing = str(tmp_path / "missing.aba")
+    for argv in (
+        ["solve", missing, "--semantics", "prf"],
+        ["solve", e, "--semantics", "prf", "--mode", "split", "--split-set", missing],
+        ["solve", e, "--semantics", "prf", "--output", str(tmp_path)],
+        ["gen", "--output", str(tmp_path)],
+    ):
+        capsys.readouterr()
+        assert main(argv) == 1
+        err_text = capsys.readouterr().err
+        assert err_text.count("\n") == 1 and "Traceback" not in err_text
+    # text that is not UTF-8 is a parse error at the line that holds it
+    latin = tmp_path / "latin.aba"
+    latin.write_bytes(b"p aba 2\n# name 1 caf\xe9\na 1\nc 1 2\n")
+    assert main(["solve", str(latin), "--semantics", "prf"]) == 2
+    assert "line 2:" in capsys.readouterr().err
+    assert main(["solve", str(latin), "--semantics", "prf", "--split-set", str(latin)]) == 2
+    # gen sizes below their minimum are usage errors, not crashes
+    for flag, low in (("--assumptions", 1), ("--rules", 0), ("--max-body", 1), ("--extra", 0),
+                      ("--args", 1), ("--attacks", 0), ("--max-tail", 1)):
+        fmt = "setaf" if flag in ("--args", "--attacks", "--max-tail") else "aba"
+        for value in (low - 1, -3):
+            with pytest.raises(SystemExit) as err:
+                main(["gen", "--format", fmt, flag, str(value)])
+            assert err.value.code == 1
+        assert main(["gen", "--format", fmt, flag, str(low), "--seed", "1"]) == 0
     capsys.readouterr()
 
 

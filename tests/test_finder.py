@@ -95,6 +95,35 @@ def test_single_scc_framework_is_degenerate():
         find_balanced_splitting(d)
 
 
+def test_finders_stop_before_any_graph_below_two_items(monkeypatch):
+    """With fewer than two atoms or arguments only the trivial splittings
+    exist; both finders say so as the graph path would, without a graph."""
+    small = [
+        (find_balanced_splitting, Abaf((), (), frozenset(), {})),
+        (find_balanced_splitting, Abaf(("p",), ((0, ()),), frozenset(), {})),
+        (find_setaf_splitting, Setaf((), ())),
+        (find_setaf_splitting, Setaf(("a",), ((frozenset({0}), 0),))),
+    ]
+    messages = set()
+    for find, fw in small:
+        with pytest.raises(DegenerateSplit) as err:
+            find(fw)
+        messages.add(str(err.value))
+
+    def refuse(*args):
+        raise AssertionError("a finder built a graph")
+
+    for name in ("dependency_graph", "primal_graph", "condense"):
+        monkeypatch.setattr(finder, name, refuse)
+    for find, fw in small:
+        with pytest.raises(DegenerateSplit) as err:
+            find(fw)
+        messages.add(str(err.value))
+    assert messages == {"only the trivial splittings exist"}
+    with pytest.raises(ValueError):  # a malformed target still fails first
+        find_setaf_splitting(Setaf((), ()), target=2)
+
+
 def test_long_chain_is_splittable():
     """1 200 assumption/contrary pairs, each attacked from the pair below: the
     walk over order ideals must not recurse once per component."""

@@ -1,4 +1,5 @@
-"""The scripts cited as evidence in ROADMAP.md and CHANGES.md still run.
+"""The scripts cited as evidence in ROADMAP.md and CHANGES.md still run, and
+the benchmark's tracer still installs on the program.
 
 Each runs as a subprocess on a small input, in a temporary directory, and
 must exit 0; the first two assert their own split-versus-direct agreement.
@@ -38,3 +39,35 @@ def test_script_runs_clean(script, args, tmp_path):
     if script.startswith("bench_") and script != "bench_split.py":
         assert "test" in json.loads((tmp_path / "k.json").read_text())["runs"]
         assert committed.read_bytes() == before
+
+
+def test_traced_operations_answer_as_untraced(monkeypatch):
+    """The benchmark's tracer (``perfbench/layers.py``) rebinds program names
+    in several modules, ``canonical_sets`` and the split modules'
+    ``enumerate_extensions`` among them.  Installing it fails if a refactor
+    drops one of those names, and a traced operation must answer exactly as
+    an untraced one."""
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    import layers
+    import routes
+    import workloads
+    from splitkit.errors import SplitkitError
+
+    ops = workloads.layered(0)[::7] + workloads.beyond(0)[::5]
+
+    def answers():
+        out = []
+        for op in ops:
+            try:
+                out.append(routes.run_op(op.instance.kind, op.instance.text, op.sem, op.route))
+            except SplitkitError as err:
+                out.append(f"{type(err).__name__}: {err}")
+        return out
+
+    untraced = answers()
+    tracer = layers.Tracer()
+    tracer.install(monkeypatch.setattr)
+    assert answers() == untraced
+    assert any(a.startswith("GuardExceeded") for a in untraced)  # the stuck stack is in
+    assert tracer.totals["split_aba.top_ms"] > 0 and tracer.totals["split_setaf.top_ms"] > 0
+    assert tracer.totals["semantics.sets_out"] > 0
