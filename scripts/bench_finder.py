@@ -11,6 +11,11 @@ on the stack's SETAF instantiation and ``find_quasi_splitting``, each as the
 median of three calls, and counts the ``max_flow`` calls of one quasi call.
 The size of each chosen set, and the quasi k, show that two runs chose alike.
 
+Image rows: ``find_quasi_splitting`` alone on ``setaf_to_aba`` of the SETAF
+instantiation of the two-block stacks of blocks of 8, generator seeds 0-3.
+They contract to 16 groups, the count at which a finder that scans every
+union of groups pays for 2^16 - 2 sets.
+
 The run is stored under ``--label`` in ``--out``; runs under other labels
 already in that file are kept, so one file can hold the same rows timed on
 two trees of the program, each run with its own ``PYTHONPATH``:
@@ -28,13 +33,14 @@ import time
 from pathlib import Path
 
 from splitkit import finder
-from splitkit.instantiate import aba_to_setaf
+from splitkit.instantiate import aba_to_setaf, setaf_to_aba
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 from workloads import stack  # noqa: E402
 
 # (blocks, assumptions per block, generator seeds)
 STACKS = ((2, 8, range(20)), (2, 9, range(20)), (3, 8, range(4)), (4, 8, range(4)))
+IMAGES = (2, 8, range(4))
 REPEATS = 3
 
 
@@ -80,10 +86,25 @@ def main() -> None:
             }
             rows.append(row)
             print(json.dumps(row), flush=True)
+    blocks, block, seeds = IMAGES
+    image_rows = []
+    for seed in seeds:
+        d = setaf_to_aba(aba_to_setaf(stack(seed, blocks, block)))
+        flows = 0
+        quasi_ms, q = timed(finder.find_quasi_splitting, d)
+        row = {
+            "blocks": blocks, "block": block, "seed": seed, "atoms": d.n_atoms,
+            "groups": len(finder.pair_contracted(d).groups),
+            "quasi_ms": quasi_ms, "quasi_size": len(q.s), "quasi_k": q.k,
+            "max_flow_calls": flows // REPEATS,
+        }
+        image_rows.append(row)
+        print(json.dumps(row), flush=True)
     totals = {
         key: round(sum(row[key] for row in rows), 3)
         for key in ("balanced_ms", "setaf_ms", "quasi_ms", "max_flow_calls")
     }
+    totals["image_quasi_ms"] = round(sum(row["quasi_ms"] for row in image_rows), 3)
     print(json.dumps({"totals": totals}), flush=True)
 
     doc = {"script": "scripts/bench_finder.py", "runs": {}}
@@ -97,6 +118,7 @@ def main() -> None:
         "repeats": REPEATS,
         "totals": totals,
         "rows": rows,
+        "image_rows": image_rows,
     }
     with open(args.out, "w") as fh:
         json.dump(doc, fh, indent=1)

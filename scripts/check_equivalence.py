@@ -6,7 +6,7 @@ import argparse
 import sys
 
 from splitkit.aba import enumerate_extensions as aba_ext
-from splitkit.errors import DegenerateSplit, NonAssumptionBodyOut, NotAtomClosed
+from splitkit.errors import DegenerateSplit
 from splitkit.finder import find_balanced_splitting, find_quasi_splitting, setaf_splitting_bottoms
 from splitkit.generate import random_abaf, random_setaf
 from splitkit.io import emit_aba, emit_setaf
@@ -37,7 +37,7 @@ def run(count: int, seed: int) -> int:
         try:
             q = find_quasi_splitting(d)
             quasi_set = q.s
-        except (DegenerateSplit, NonAssumptionBodyOut, NotAtomClosed):
+        except DegenerateSplit:
             quasi_set = frozenset()
         if param_split_solve(d, quasi_set) != aba_ext(d, Semantics.STB):
             print(f"param mismatch (seed {s}):\n{emit_aba(d)}")

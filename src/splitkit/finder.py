@@ -15,8 +15,9 @@ Quasi-splittings drop the requirement that assumption body atoms stay below
 their rule heads.  Finding one with few vulnerabilities is a minimum-cut
 problem on the pair-contracted dependency graph: crossing a vulnerable
 assumption (one whose contrary heads a rule) costs one, everything else is
-rigid or free.  At desk scale the finder enumerates partitions exactly; on
-bigger inputs it takes the minimal minimum cuts anchored on pairs of groups.
+rigid or free.  The finder ranks one pool for every group count: the minimal
+minimum cuts anchored on pairs of groups, and the prefix chains of the graph
+whose order ideals are the sets with no vulnerability at all.
 """
 
 from __future__ import annotations
@@ -41,7 +42,6 @@ from splitkit.setaf import Setaf, primal_graph
 from splitkit.split_aba import QuasiSplitting, make_quasi_splitting, make_splitting, vulnerabilities
 from splitkit.split_setaf import make_splitting as make_setaf_splitting
 
-EXACT_GROUP_LIMIT = 16
 IDEAL_LIMIT = 4096
 
 
@@ -188,22 +188,17 @@ def pair_contracted(abaf: Abaf) -> _Contracted:
 def find_quasi_splitting(abaf: Abaf, lo: float = 0.25, hi: float = 0.75) -> QuasiSplitting:
     """A quasi-splitting with as few vulnerabilities as the balance window allows.
 
-    Exhaustive over the contracted groups when there are at most
-    ``EXACT_GROUP_LIMIT`` of them; anchored max-flow min-cuts otherwise.
-    Trivial sets are never returned; if the window is unsatisfiable the
-    globally best nontrivial candidate is used instead.
+    The candidates are the unions of contracted groups that ``_quasi_flow``
+    finds, whatever the number of groups.  Trivial sets are never returned;
+    if the window is unsatisfiable the globally best nontrivial candidate is
+    used instead.
     """
     if not (math.isfinite(lo) and math.isfinite(hi) and lo <= hi):
         raise InvalidBalance(f"balance window must be finite with lo <= hi, got [{lo}, {hi}]")
     con = pair_contracted(abaf)
-    m = len(con.groups)
-    if m <= 1:
+    if len(con.groups) <= 1:
         raise DegenerateSplit("framework contracts to a single group")
-    heads = {r.head for r in abaf.rules}
-    if m <= EXACT_GROUP_LIMIT:
-        candidates = _quasi_exact(abaf, con, heads)
-    else:
-        candidates = _quasi_flow(abaf, con, heads)
+    candidates = _quasi_flow(abaf, con, {r.head for r in abaf.rules})
     if not candidates:
         raise DegenerateSplit("no nontrivial quasi-splitting found")
     total = abaf.n_atoms
@@ -222,23 +217,11 @@ def find_quasi_splitting(abaf: Abaf, lo: float = 0.25, hi: float = 0.75) -> Quas
     return make_quasi_splitting(abaf, s)
 
 
-def _quasi_exact(
-    abaf: Abaf, con: _Contracted, heads: set[int]
-) -> list[tuple[int, frozenset[int]]]:
-    m = len(con.groups)
-    out = []
-    for mask in range(1, (1 << m) - 1):
-        atoms = frozenset().union(*(con.groups[i] for i in range(m) if mask >> i & 1))
-        vulnerable = vulnerabilities(abaf, atoms, heads)
-        if vulnerable is not None:
-            out.append((len(vulnerable), atoms))
-    return out
-
-
 def _quasi_flow(
     abaf: Abaf, con: _Contracted, heads: set[int]
 ) -> list[tuple[int, frozenset[int]]]:
-    """Candidates from the minimal minimum cuts between pairs of groups.
+    """Candidates from the minimal minimum cuts between pairs of groups and
+    from the prefix chains of the groups with no vulnerability.
 
     The network has a node per contracted group and a charge node per body
     assumption outside its rule's head group.  A rule links its head group
@@ -254,11 +237,18 @@ def _quasi_flow(
     ``gt``.  If ``gs`` reaches ``gt`` over rigid arcs alone, no cut is
     finite and the pair gives none.  Only the other pairs run ``max_flow``,
     all on one residual network built for the call.
+
+    The links of capacity ``inf`` or 1 from a head group to a body group,
+    turned round, make a graph on the groups whose order ideals are exactly
+    the sets with k = 0.  Its ``graphs.prefix_ideals``, weighted by atoms as
+    the window is, add one such set per SCC and order, and catch balanced
+    ones that the cuts, anchored on single groups, miss.
     """
     m = len(con.groups)
     charge_node: dict[int, int] = {}
     next_id = m
     arcs: dict[tuple[int, int], int] = {}
+    below: set[tuple[int, int]] = set()  # body group -> head group, for k = 0
     inf = abaf.n_atoms + 1
     for r in abaf.rules:
         gh = con.group_of[r.head]
@@ -275,6 +265,8 @@ def _quasi_flow(
                     weight = 1 if abaf.contrary[b] in heads else 0
                     arcs[(charge_node[b], gb)] = weight
                 arcs[(gh, charge_node[b])] = inf
+            if b not in abaf.assumptions or abaf.contrary[b] in heads:
+                below.add((gb, gh))
     positive: list[list[int]] = [[] for _ in range(next_id)]
     rigid: list[list[int]] = [[] for _ in range(next_id)]
     for (u, v), c in arcs.items():
@@ -283,8 +275,8 @@ def _quasi_flow(
         if c >= inf:
             rigid[u].append(v)
     network = flow_network(next_id, arcs)
-    seen: set[frozenset[int]] = set()
-    out: list[tuple[int, frozenset[int]]] = []
+    bit = [1 << g for g in range(m)] + [0] * (next_id - m)  # charge nodes count for none
+    masks = []
     for gs in range(m):
         reach = reachable(positive, gs)
         rigid_reach = reachable(rigid, gs)
@@ -292,12 +284,17 @@ def _quasi_flow(
             max_flow(network, gs, gt)[1]
             for gt in range(m) if gt in reach and gt not in rigid_reach
         ]
-        for side in sides:
-            atoms = frozenset().union(*(con.groups[i] for i in side if i < m))
-            if atoms == abaf.atoms or atoms in seen:
-                continue
-            seen.add(atoms)
-            vulnerable = vulnerabilities(abaf, atoms, heads)
-            if vulnerable is not None:
-                out.append((len(vulnerable), atoms))
+        masks += (sum(map(bit.__getitem__, side)) for side in sides)
+    cond = condense(Digraph(m, frozenset(below)))
+    masks += prefix_ideals(cond, [sum(len(con.groups[g]) for g in scc) for scc in cond.sccs])
+    seen = {0, (1 << m) - 1}  # the trivial sets
+    out: list[tuple[int, frozenset[int]]] = []
+    for mask in masks:
+        if mask in seen:
+            continue
+        seen.add(mask)
+        atoms = frozenset().union(*[group for b, group in zip(bit, con.groups) if mask & b])
+        vulnerable = vulnerabilities(abaf, atoms, heads)
+        if vulnerable is not None:
+            out.append((len(vulnerable), atoms))
     return out

@@ -273,24 +273,25 @@ def max_flow(
     cap = capacity.copy()
     flow = 0
     while True:
-        via = {source: -1}  # each reached node's entering arc
-        queue = deque([source])
-        while queue and sink not in via:
-            u = queue.popleft()
+        via: list[Optional[int]] = [None] * len(out)  # each reached node's entering arc
+        via[source] = -1
+        queue = [source]  # breadth first: the loop meets what it appends
+        for u in queue:
             for e in out[u]:
-                v = head[e]
-                if cap[e] > 0 and v not in via:
-                    via[v] = e
-                    queue.append(v)
-        if sink not in via:
-            return flow, set(via)
+                if cap[e] and via[head[e]] is None:
+                    via[head[e]] = e
+                    queue.append(head[e])
+            if via[sink] is not None:
+                break
+        else:
+            return flow, set(queue)
         path = []
         v = sink
         while v != source:
             e = via[v]
             path.append(e)
             v = head[e ^ 1]
-        bottleneck = min(cap[e] for e in path)
+        bottleneck = min([cap[e] for e in path])
         for e in path:
             cap[e] -= bottleneck
             cap[e ^ 1] += bottleneck

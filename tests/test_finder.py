@@ -18,8 +18,8 @@ from splitkit.finder import (
     splitting_sets,
 )
 from splitkit.generate import random_abaf, random_setaf
-from splitkit.graphs import condense, flow_network, max_flow, order_ideals
-from splitkit.instantiate import aba_to_setaf
+from splitkit.graphs import Digraph, condense, flow_network, max_flow, order_ideals, prefix_ideals
+from splitkit.instantiate import aba_to_setaf, setaf_to_aba
 from splitkit.setaf import Setaf
 from splitkit.split_aba import make_quasi_splitting, make_splitting, vulnerabilities
 from splitkit.split_setaf import make_splitting as make_setaf_splitting
@@ -292,7 +292,7 @@ def test_find_quasi_prefers_proper_splitting_when_available():
     assert q.k == 0
 
 
-def test_find_quasi_matches_exhaustive_cut_oracle_on_star(monkeypatch):
+def test_find_quasi_matches_exhaustive_cut_oracle_on_star():
     # star-shaped mutual dependencies: every leaf's contrary is derived from
     # the hub and vice versa, so any balanced cut pays for crossings
     d = Abaf.from_names(
@@ -307,24 +307,33 @@ def test_find_quasi_matches_exhaustive_cut_oracle_on_star(monkeypatch):
     assert oracle is not None
     q = find_quasi_splitting(d, lo=lo, hi=hi)
     assert q.k == oracle
-    monkeypatch.setattr(finder, "EXACT_GROUP_LIMIT", 0)  # force the max-flow path
-    q_flow = find_quasi_splitting(d, lo=lo, hi=hi)
-    assert q_flow.k == oracle
+    assert lo * d.n_atoms <= len(q.s) <= hi * d.n_atoms
 
 
-def test_flow_method_matches_exact_on_random_instances(monkeypatch):
-    for seed in range(20):
-        d = random_abaf(seed, max_assumptions=5, max_rules=8)
+def test_flow_method_matches_exact_on_random_instances():
+    """The finder's one candidate path finds the exhaustive scan's minimum k:
+    in the window whenever the scan finds a set there, and otherwise outside
+    it with the least k of any nontrivial union of groups."""
+    frameworks = [random_abaf(seed, max_assumptions=5, max_rules=8) for seed in range(20)]
+    frameworks += [  # the c09 acceptance suite
+        random_abaf(9000 + i, max_assumptions=6, max_rules=9, max_body=3) for i in range(300)
+    ]
+    compared = 0
+    for d in frameworks:
         if len(pair_contracted(d).groups) <= 1:
             continue
-        monkeypatch.setattr(finder, "EXACT_GROUP_LIMIT", d.n_atoms)
-        exact = find_quasi_splitting(d)
-        monkeypatch.setattr(finder, "EXACT_GROUP_LIMIT", 0)
-        flow = find_quasi_splitting(d)
+        least = exhaustive_min_k(d, 0, 1)
+        if least is None:
+            with pytest.raises(DegenerateSplit):
+                find_quasi_splitting(d)
+            continue
+        q = find_quasi_splitting(d)
         oracle = exhaustive_min_k(d, 0.25, 0.75)
-        if oracle is not None:
-            assert exact.k == oracle
-            assert flow.k >= exact.k  # anchored cuts may miss ties, never beat
+        in_window = 0.25 * d.n_atoms <= len(q.s) <= 0.75 * d.n_atoms
+        assert in_window == (oracle is not None)
+        assert q.k == (least if oracle is None else oracle)
+        compared += 1
+    assert compared > 250
 
 
 def paper_k(d, atoms):
@@ -337,33 +346,69 @@ def paper_k(d, atoms):
     })
 
 
+def k0_chains(d, con):
+    """The nontrivial prefix chains of the graph on the groups with an arc from
+    body group to head group for every non-assumption body atom and every
+    assumption body atom whose contrary heads a rule, and that graph's
+    nontrivial order ideals, each as a set of atoms."""
+    heads = {r.head for r in d.rules}
+    arcs = {
+        (con.group_of[b], con.group_of[r.head]) for r in d.rules for b in r.body
+        if b not in d.assumptions or d.contrary[b] in heads
+    }
+    m = len(con.groups)
+    cond = condense(Digraph(m, frozenset(arcs)))
+    chains = prefix_ideals(cond, [sum(len(con.groups[g]) for g in scc) for scc in cond.sccs])
+
+    def atom_sets(masks):
+        return {
+            frozenset().union(*(con.groups[i] for i in range(m) if mask >> i & 1))
+            for mask in masks if 0 < mask < (1 << m) - 1
+        }
+
+    return atom_sets(chains), atom_sets(order_ideals(cond))
+
+
 def test_finder_cost_is_the_quasi_splitting_k():
+    """Every candidate's k is the paper's count, and the sets with k = 0 are
+    exactly the order ideals of the group graph, whose prefix chains are all
+    candidates."""
     frameworks = [random_abaf(seed, max_assumptions=5, max_rules=8) for seed in range(60)]
     frameworks += [cyclic_abaf(seed) for seed in range(150)]
     assert sum(not d.flat for d in frameworks) > 50
+    chained = 0
     for d in frameworks:
         con = pair_contracted(d)
         if len(con.groups) <= 1:
             continue
         heads = {r.head for r in d.rules}
-        costs = {atoms: k for k, atoms in finder._quasi_exact(d, con, heads)}
-        for k, atoms in finder._quasi_flow(d, con, heads):
-            assert costs[atoms] == k
         m = len(con.groups)
+        costs = {}
         for mask in range(1, (1 << m) - 1):
             atoms = frozenset().union(*(con.groups[i] for i in range(m) if mask >> i & 1))
             try:
                 q = make_quasi_splitting(d, atoms)
             except NonAssumptionBodyOut:
-                assert atoms not in costs
+                assert vulnerabilities(d, atoms, heads) is None
                 continue
-            assert costs[atoms] == q.k == paper_k(d, atoms)
+            costs[atoms] = q.k
+            assert q.k == paper_k(d, atoms) == len(vulnerabilities(d, atoms, heads))
+        candidates = finder._quasi_flow(d, con, heads)
+        for k, atoms in candidates:
+            assert costs[atoms] == k
+        chains, ideals = k0_chains(d, con)
+        assert ideals == {atoms for atoms, k in costs.items() if k == 0}
+        for atoms in chains:
+            assert costs[atoms] == 0 and (0, atoms) in candidates
+        chained += bool(chains)
+    assert chained > 100
 
 
 def all_pairs_quasi_flow(abaf, con, heads):
     """The all-pairs loop, kept as the reference for ``finder._quasi_flow``:
     one max-flow per ordered pair of groups, each anchored by rigid arcs from
-    a super source and into a super sink, on a copy of the network."""
+    a super source and into a super sink, on a copy of the network; then the
+    prefix chains of ``k0_chains``."""
     m = len(con.groups)
     charge_node = {}
     next_id = m
@@ -403,19 +448,19 @@ def all_pairs_quasi_flow(abaf, con, heads):
             vulnerable = vulnerabilities(abaf, atoms, heads)
             if vulnerable is not None:
                 out.append((len(vulnerable), atoms))
+    out += [(0, atoms) for atoms in k0_chains(abaf, con)[0] - seen]
     return out
 
 
 def test_quasi_flow_candidates_match_the_all_pairs_loop(monkeypatch):
     """Same candidates, k included, and the same choice as the all-pairs
-    loop, on small frameworks and on two-block stacks of 17-20 groups; and
-    every max-flow run has a positive, finite value."""
+    loop with the prefix chains, on small frameworks and on two-block stacks
+    of 17-20 groups; and every max-flow run has a positive, finite value."""
     frameworks = [random_abaf(seed, max_assumptions=5, max_rules=8) for seed in range(60)]
     frameworks += [cyclic_abaf(seed) for seed in range(150)]
     layered = bench_split_layered()
     stacks = [layered(seed, block) for block in (8, 9) for seed in range(6)]
     assert {len(pair_contracted(d).groups) for d in stacks} <= set(range(17, 21))
-    monkeypatch.setattr(finder, "EXACT_GROUP_LIMIT", 0)
     flows = []
 
     def recorded(*args):
@@ -444,6 +489,30 @@ def test_quasi_flow_candidates_match_the_all_pairs_loop(monkeypatch):
         assert (q.s, q.k) == (q_reference.s, q_reference.k)
         compared += 1
     assert compared > 150
+
+
+def test_quasi_finder_scans_no_unions_at_sixteen_groups(monkeypatch):
+    """The SETAF images of the two-block stacks contract to 16 groups, where a
+    scan of every union of groups counted the vulnerabilities of 65 534 sets.
+    The finder counts them for at most m sides per source group and one
+    prefix per SCC in each of five orders, the empty one included."""
+    stack = perfbench_stack()
+    calls = 0
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return vulnerabilities(*args)
+
+    monkeypatch.setattr(finder, "vulnerabilities", counted)
+    for gen in range(4):
+        d = setaf_to_aba(aba_to_setaf(stack(gen, 2, 8)))
+        m = len(pair_contracted(d).groups)
+        assert m == 16
+        calls = 0
+        q = find_quasi_splitting(d)
+        assert 0 < calls <= m * m + 5 * m + 1
+        assert q.k == 0
 
 
 def test_find_quasi_degenerate():
