@@ -15,27 +15,28 @@ Quasi-splittings drop the requirement that assumption body atoms stay below
 their rule heads.  Finding one with few vulnerabilities is a minimum-cut
 problem on the pair-contracted dependency graph: crossing a vulnerable
 assumption (one whose contrary heads a rule) costs one, everything else is
-rigid or free.  The finder ranks one pool for every group count: the minimal
-minimum cuts anchored on pairs of groups, and the prefix chains of the graph
-whose order ideals are the sets with no vulnerability at all.
+rigid or free.  The finder ranks one pool for every group count: the balls
+around each group, the minimal minimum cuts anchored on pairs of groups, and
+the prefix chains of the sets with no vulnerability at all.  The pool is not
+every set, so it can miss the least k that the balance window allows.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 from splitkit.aba import Abaf
 from splitkit.errors import DegenerateSplit, InvalidBalance
 from splitkit.graphs import (
     Digraph,
+    balls,
     condense,
     flow_network,
     max_flow,
     order_ideals,
     prefix_ideals,
-    reachable,
 )
 from splitkit.semantics import unmask
 from splitkit.setaf import Setaf, primal_graph
@@ -189,16 +190,16 @@ def find_quasi_splitting(abaf: Abaf, lo: float = 0.25, hi: float = 0.75) -> Quas
     """A quasi-splitting with as few vulnerabilities as the balance window allows.
 
     The candidates are the unions of contracted groups that ``_quasi_flow``
-    finds, whatever the number of groups.  Trivial sets are never returned;
-    if the window is unsatisfiable the globally best nontrivial candidate is
-    used instead.
+    finds, whatever the number of groups.  They are not every union, so the
+    least k in the window can be missed.  Trivial sets are never returned;
+    if no candidate lies in the window, the best nontrivial one is used.
     """
     if not (math.isfinite(lo) and math.isfinite(hi) and lo <= hi):
         raise InvalidBalance(f"balance window must be finite with lo <= hi, got [{lo}, {hi}]")
     con = pair_contracted(abaf)
     if len(con.groups) <= 1:
         raise DegenerateSplit("framework contracts to a single group")
-    candidates = _quasi_flow(abaf, con, {r.head for r in abaf.rules})
+    candidates = _quasi_flow(abaf, con, {r.head for r in abaf.rules}, lo, hi)
     if not candidates:
         raise DegenerateSplit("no nontrivial quasi-splitting found")
     total = abaf.n_atoms
@@ -210,45 +211,46 @@ def find_quasi_splitting(abaf: Abaf, lo: float = 0.25, hi: float = 0.75) -> Quas
                             len(ks[1]), tuple(sorted(ks[1]))),
         )
 
-    in_window = [
-        (k, s) for k, s in candidates if lo * total <= len(s) <= hi * total
-    ]
+    in_window = [(k, s) for k, s in candidates if lo * total <= len(s) <= hi * total]
     k, s = ranked(in_window) if in_window else ranked(candidates)
     return make_quasi_splitting(abaf, s)
 
 
 def _quasi_flow(
-    abaf: Abaf, con: _Contracted, heads: set[int]
+    abaf: Abaf, con: _Contracted, heads: set[int], lo: float, hi: float
 ) -> list[tuple[int, frozenset[int]]]:
-    """Candidates from the minimal minimum cuts between pairs of groups and
-    from the prefix chains of the groups with no vulnerability.
+    """Candidates: the minimal minimum cuts between pairs of groups, the best
+    balanced prefix chain of the sets with no vulnerability and, when none
+    is a set with k = 0 in the window ``[lo, hi]``, the balls around groups.
 
     The network has a node per contracted group and a charge node per body
     assumption outside its rule's head group.  A rule links its head group
     to each body group: a non-assumption body atom by a rigid arc (capacity
     ``inf``, never on a finite cut), an assumption through its charge node,
     whose arc onwards costs 1 if a rule heads the contrary and 0 if not.
-    Those weights only steer which cuts are found; each candidate's k is
-    counted by ``split_aba.vulnerabilities``.
+    The weights only steer which sets are found; k is counted by
+    ``split_aba.vulnerabilities``.
 
-    For each source group ``gs``, every other group ``gt`` anchors a cut.  If
-    ``gs`` reaches ``gt`` over no path of positive capacity, the flow is 0
-    and the cut's side is what ``gs`` reaches, one candidate for all such
-    ``gt``.  If ``gs`` reaches ``gt`` over rigid arcs alone, no cut is
-    finite and the pair gives none.  Only the other pairs run ``max_flow``,
-    all on one residual network built for the call.
+    Around each group ``gs``, ``graphs.balls`` grows sets over the positive
+    links between groups, from what ``gs`` reaches over rigid arcs to all it
+    reaches.  Every other group ``gt`` anchors a cut.  If ``gs`` reaches
+    ``gt`` over rigid arcs, no cut is finite; if not at all, the side is the
+    last ball.  Only the other pairs run ``max_flow``, all on one residual
+    network built for the call.  The positive links, turned round, make a
+    graph whose order ideals are exactly the sets with k = 0.  Of its
+    ``graphs.prefix_ideals``, weighted by atoms, the ranking can only choose
+    the best balanced, so that one is the candidate.
 
-    The links of capacity ``inf`` or 1 from a head group to a body group,
-    turned round, make a graph on the groups whose order ideals are exactly
-    the sets with k = 0.  Its ``graphs.prefix_ideals``, weighted by atoms as
-    the window is, add one such set per SCC and order, and catch balanced
-    ones that the cuts, anchored on single groups, miss.
+    A cut's minimal side has the least k around ``gs``, which may miss the
+    window: on a ring of groups it is one group or all but one.  The other
+    balls, and the complements of the balls over the links turned round, add
+    the sets between.  The least k in the window is a balanced minimum cut,
+    so the pool is not exhaustive and can miss it.
     """
     m = len(con.groups)
     charge_node: dict[int, int] = {}
-    next_id = m
     arcs: dict[tuple[int, int], int] = {}
-    below: set[tuple[int, int]] = set()  # body group -> head group, for k = 0
+    below: set[tuple[int, int]] = set()  # body group -> head group, positive
     inf = abaf.n_atoms + 1
     for r in abaf.rules:
         gh = con.group_of[r.head]
@@ -260,41 +262,41 @@ def _quasi_flow(
                 arcs[(gh, gb)] = inf
             else:
                 if b not in charge_node:
-                    charge_node[b] = next_id
-                    next_id += 1
-                    weight = 1 if abaf.contrary[b] in heads else 0
-                    arcs[(charge_node[b], gb)] = weight
+                    charge_node[b] = m + len(charge_node)
+                    arcs[(charge_node[b], gb)] = int(abaf.contrary[b] in heads)
                 arcs[(gh, charge_node[b])] = inf
             if b not in abaf.assumptions or abaf.contrary[b] in heads:
                 below.add((gb, gh))
-    positive: list[list[int]] = [[] for _ in range(next_id)]
-    rigid: list[list[int]] = [[] for _ in range(next_id)]
-    for (u, v), c in arcs.items():
-        if c > 0:
-            positive[u].append(v)
-        if c >= inf:
-            rigid[u].append(v)
-    network = flow_network(next_id, arcs)
-    bit = [1 << g for g in range(m)] + [0] * (next_id - m)  # charge nodes count for none
-    masks = []
+
+    def adjacency(pairs) -> list[list[int]]:
+        return Digraph(m, frozenset(pairs)).successors()
+
+    rigid = {(u, v) for u, v in arcs if max(u, v) < m}  # the rigid arcs between groups
+    down, rigid_down = adjacency((gh, gb) for gb, gh in below), adjacency(rigid)
+    network = flow_network(m + len(charge_node), arcs)
+    bit = [1 << g for g in range(m)] + [0] * len(charge_node)  # charge nodes count for none
+    full = (1 << m) - 1
+    sides, grown = [], []
     for gs in range(m):
-        reach = reachable(positive, gs)
-        rigid_reach = reachable(rigid, gs)
-        sides = [reach] + [
-            max_flow(network, gs, gt)[1]
-            for gt in range(m) if gt in reach and gt not in rigid_reach
-        ]
-        masks += (sum(map(bit.__getitem__, side)) for side in sides)
+        around = balls(down, rigid_down, gs)
+        grown += around
+        sides.append(around[-1])
+        sides += (
+            sum(map(bit.__getitem__, max_flow(network, gs, gt)[1]))
+            for gt in range(m) if around[-1] >> gt & 1 and not around[0] >> gt & 1
+        )
     cond = condense(Digraph(m, frozenset(below)))
-    masks += prefix_ideals(cond, [sum(len(con.groups[g]) for g in scc) for scc in cond.sccs])
-    seen = {0, (1 << m) - 1}  # the trivial sets
-    out: list[tuple[int, frozenset[int]]] = []
-    for mask in masks:
-        if mask in seen:
-            continue
-        seen.add(mask)
-        atoms = frozenset().union(*[group for b, group in zip(bit, con.groups) if mask & b])
-        vulnerable = vulnerabilities(abaf, atoms, heads)
-        if vulnerable is not None:
-            out.append((len(vulnerable), atoms))
-    return out
+    members = tuple(frozenset().union(*[con.groups[g] for g in scc]) for scc in cond.sccs)
+    chains = prefix_ideals(replace(cond, sccs=members), [len(c) for c in members])
+
+    def counted(masks: set[int]) -> list[tuple[int, frozenset[int]]]:
+        sets = (frozenset().union(*[g for b, g in zip(bit, con.groups) if mask & b]) for mask in masks)
+        return [(len(vulnerabilities(abaf, atoms, heads)), atoms) for atoms in sets]
+
+    out = [(0, _most_balanced(chains, abaf.n_atoms, (lo + hi) / 2))] if len(members) > 1 else []
+    out += counted(set(sides) - {0, full})
+    if any(k == 0 and lo * abaf.n_atoms <= len(s) <= hi * abaf.n_atoms for k, s in out):
+        return out  # no set beats k = 0 in the window
+    up, rigid_up = adjacency(below), adjacency((v, u) for u, v in rigid)
+    grown += [full ^ ball for gs in range(m) for ball in balls(up, rigid_up, gs)]
+    return out + counted(set(grown) - set(sides) - {0, full})

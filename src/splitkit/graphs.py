@@ -1,4 +1,4 @@
-"""Directed-graph utilities: SCC condensation, order ideals and prefix chains, reachability, max-flow, DOT."""
+"""Directed-graph utilities: SCC condensation, order ideals and prefix chains, balls, max-flow, DOT."""
 
 from __future__ import annotations
 
@@ -225,16 +225,27 @@ def _mask(vertices: Iterable[int]) -> int:
     return sum(1 << v for v in vertices)
 
 
-def reachable(successors: Sequence[Sequence[int]], root: int) -> set[int]:
-    """The vertices reachable from ``root``, ``root`` included."""
-    seen = {root}
-    stack = [root]
-    while stack:
-        for v in successors[stack.pop()]:
-            if v not in seen:
-                seen.add(v)
-                stack.append(v)
-    return seen
+def balls(step: Sequence[Sequence[int]], close: Sequence[Sequence[int]], root: int) -> list[int]:
+    """The balls around ``root``, smallest first, each as a bitmask.
+
+    The first ball is what ``close`` reaches from ``root``; each next one
+    adds the ``step`` successors of the last ball and what ``close`` reaches
+    from them, until a ball stops growing.  Every ball is closed under
+    ``close``.
+    """
+    out = []
+    ball, grow = 0, [root]
+    while grow:
+        added = []  # what the last ball added; the rest has its successors in already
+        while grow:
+            v = grow.pop()
+            if not ball >> v & 1:
+                ball |= 1 << v
+                added.append(v)
+                grow += close[v]
+        out.append(ball)
+        grow = [w for v in added for w in step[v] if not ball >> w & 1]
+    return out
 
 
 def flow_network(n: int, arcs: dict[tuple[int, int], int]) -> tuple[list[int], list[int], list[list[int]]]:
@@ -273,25 +284,24 @@ def max_flow(
     cap = capacity.copy()
     flow = 0
     while True:
-        via: list[Optional[int]] = [None] * len(out)  # each reached node's entering arc
-        via[source] = -1
-        queue = [source]  # breadth first: the loop meets what it appends
-        for u in queue:
+        via = {source: -1}  # each reached node's entering arc
+        queue = deque([source])
+        while queue and sink not in via:
+            u = queue.popleft()
             for e in out[u]:
-                if cap[e] and via[head[e]] is None:
-                    via[head[e]] = e
-                    queue.append(head[e])
-            if via[sink] is not None:
-                break
-        else:
-            return flow, set(queue)
+                v = head[e]
+                if cap[e] > 0 and v not in via:
+                    via[v] = e
+                    queue.append(v)
+        if sink not in via:
+            return flow, set(via)
         path = []
         v = sink
         while v != source:
             e = via[v]
             path.append(e)
             v = head[e ^ 1]
-        bottleneck = min([cap[e] for e in path])
+        bottleneck = min(cap[e] for e in path)
         for e in path:
             cap[e] -= bottleneck
             cap[e ^ 1] += bottleneck
