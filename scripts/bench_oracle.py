@@ -2,14 +2,14 @@
 """Time the ABA and SETAF oracles' layers on the pieces that splitting hands them.
 
 The ABA pieces are the bottoms and the distinct modified tops of the twenty
-two-block stacks of ``bench_split.layered`` (generator seeds 0-19, blocks of
-8 and 9 assumptions, as in the benchmark's ``layered`` workload), each cut
-by ``find_balanced_splitting``.  The SETAF pieces are those of the first
-``SETAFS`` SETAFs of acceptance criterion c07 (``random_setaf(7000 + i,
-max_args=8, max_attacks=10, max_tail=3)``), each cut at every nontrivial
-splitting bottom, with the bottom extensions that c07 takes: ``e & A1`` for
-each extension ``e`` of the whole SETAF under a split semantics.  One row per
-layer, each the total over its pieces:
+two-block stacks of ``perfbench/workloads.py``'s ``stack`` (generator seeds
+0-19, blocks of 8 and 9 assumptions, as in the benchmark's ``layered``
+workload), each cut by ``find_balanced_splitting``.  The SETAF pieces are
+those of the first ``SETAFS`` SETAFs of acceptance criterion c07
+(``random_setaf(7000 + i, max_args=8, max_attacks=10, max_tail=3)``), each
+cut at every nontrivial splitting bottom, with the bottom extensions that
+c07 takes: ``e & A1`` for each extension ``e`` of the whole SETAF under a
+split semantics.  One row per layer, each the total over its pieces:
 
 - ``construct``: ``Abaf(...)`` on every distinct bottom and top;
 - ``minimal_supports``: the support table of each, on a fresh copy;
@@ -38,9 +38,10 @@ import json
 import os
 import platform
 import statistics
+import sys
 import time
+from pathlib import Path
 
-from bench_split import layered
 from splitkit import setaf
 from splitkit.aba import Abaf, enumerate_extensions, minimal_supports
 from splitkit.finder import find_balanced_splitting, setaf_splitting_bottoms
@@ -49,6 +50,9 @@ from splitkit.semantics import Semantics
 from splitkit.setaf import Setaf
 from splitkit.split_aba import make_splitting
 from splitkit.split_setaf import make_splitting as make_setaf_splitting
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+from workloads import stack  # noqa: E402
 
 STACKS = 20
 SETAFS = 100
@@ -71,7 +75,7 @@ def pieces():
     solved = {sem: {} for sem in SPLIT_SEMS}
     triples = {}
     for gen in range(STACKS):
-        d = layered(gen, 8 + gen % 2)
+        d = stack(gen, 2, 8 + gen % 2)
         s = find_balanced_splitting(d)
         sp = make_splitting(d, s)
         for sem in SPLIT_SEMS:

@@ -1,9 +1,11 @@
 #!/usr/bin/env python3
 """Time direct enumeration against split solving on layered instances.
 
-Two random blocks are stacked so that all cross influences run upward; the
-balanced splitting then cuts the instance roughly in half, turning one 2^n
-sweep into one 2^(n/2) sweep for the bottom and one per distinct top.
+Two random blocks are stacked by ``stack`` of ``perfbench/workloads.py``,
+the draw of the benchmark's ``layered`` workload, so that all cross
+influences run upward; the balanced splitting then cuts the instance
+roughly in half, turning one 2^n sweep into one 2^(n/2) sweep for the
+bottom and one per distinct top.
 
 Each seed prints the finder, direct and split times together with the
 number of bottom extensions and the sizes of the tops solved, because the
@@ -12,43 +14,18 @@ solve.  No total over seeds is printed, since such seeds would make it
 read as a speed-up the splitting did not earn."""
 
 import argparse
-import random
+import sys
 import time
 from collections import Counter
+from pathlib import Path
 
-from splitkit.aba import Abaf, Rule, enumerate_extensions
+from splitkit.aba import enumerate_extensions
 from splitkit.finder import find_balanced_splitting
-from splitkit.generate import random_abaf
 from splitkit.semantics import Semantics
 from splitkit.split_aba import split_solve
 
-
-def full_block(rng: random.Random, block: int) -> Abaf:
-    while True:  # reject draws that came out smaller than the block size
-        d = random_abaf(rng, max_assumptions=block, max_rules=block + 2, max_extra=1)
-        if len(d.assumptions) == block:
-            return d
-
-
-def layered(seed: int, block: int) -> Abaf:
-    rng = random.Random(seed)
-    lo = full_block(rng, block)
-    hi = full_block(rng, block)
-    shift = lo.n_atoms
-    names = lo.names + tuple(f"t_{n}" for n in hi.names)
-    rules = list(lo.rules)
-    rules += [
-        Rule(r.head + shift, frozenset(b + shift for b in r.body)) for r in hi.rules
-    ]
-    hi_contraries = sorted(set(hi.contrary.values()))
-    for _ in range(block):  # upward links only: lower assumptions feed upper rules
-        head = shift + rng.choice(hi_contraries)
-        body = {rng.choice(sorted(lo.assumptions)), shift + rng.choice(sorted(hi.assumptions))}
-        rules.append(Rule(head, frozenset(body)))
-    assumptions = lo.assumptions | frozenset(a + shift for a in hi.assumptions)
-    contrary = dict(lo.contrary)
-    contrary.update({a + shift: c + shift for a, c in hi.contrary.items()})
-    return Abaf(names, tuple(rules), assumptions, contrary)
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+from workloads import stack  # noqa: E402
 
 
 def main() -> None:
@@ -60,7 +37,7 @@ def main() -> None:
     sem = Semantics(args.semantics)
 
     for seed in range(args.seeds):
-        d = layered(seed, args.block)
+        d = stack(seed, 2, args.block)
         guard = len(d.assumptions)
         solved = []
 

@@ -284,22 +284,15 @@ def all_supports(abaf: Abaf, guard: Optional[int] = None) -> dict[int, tuple[int
     return abaf._cache["allsup"]
 
 
-def tainted(
-    abaf: Abaf,
-    allowed: Iterable[int],
-    seed: Iterable[int],
-    derivable: Optional[frozenset[int]] = None,
-) -> frozenset[int]:
+def tainted(abaf: Abaf, allowed: Iterable[int], seed: Iterable[int]) -> frozenset[int]:
     """Sentences with a derivation from ``allowed`` that has a leaf in ``seed``.
 
     The least set that holds ``seed`` and the head of every rule whose body
     is derivable from ``allowed`` and meets the set: a labelled Horn fixpoint
     in the style of Dowling and Gallier (1984).  It decides what the exact
-    leaf sets of ``all_supports`` would, in polynomial time.  A caller that
-    already holds ``theory_closure(abaf, allowed)`` passes it as ``derivable``.
+    leaf sets of ``all_supports`` would, in polynomial time.
     """
-    if derivable is None:
-        derivable = theory_closure(abaf, allowed)
+    derivable = theory_closure(abaf, allowed)
     rules = [r for r in abaf.rules if r.body <= derivable]
     out = set(seed)
     changed = True

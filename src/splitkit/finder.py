@@ -9,15 +9,17 @@ ideals by how evenly they cut the framework.  The ABA finder walks the
 ideals themselves, up to ``IDEAL_LIMIT`` of them.  The SETAF finder scores
 only the prefixes of five topological orders of the condensation, picked by
 SCC size (``graphs.prefix_ideals``): one ideal per SCC and order, with no
-limit to reach.
+limit to reach.  ``splitting_sets`` and ``setaf_splitting_bottoms`` list
+every ideal, with no limit either, for sweeps over small frameworks.
 
 Quasi-splittings drop the requirement that assumption body atoms stay below
 their rule heads.  Finding one with few vulnerabilities is a minimum-cut
 problem on the pair-contracted dependency graph: crossing a vulnerable
-assumption (one whose contrary heads a rule) costs one, everything else is
-rigid or free.  The finder ranks one pool for every group count: the balls
-around each group, the minimal minimum cuts anchored on pairs of groups, and
-the prefix chains of the sets with no vulnerability at all.  The pool is not
+assumption (one whose contrary a rule heads or is an assumption) costs one,
+everything else is rigid or free.  The finder ranks one pool for every group
+count: the balls around each group, the minimal minimum cuts anchored on
+pairs of groups, and the prefix chains of the sets with no vulnerability at
+all.  The pool is not
 every set, so it can miss the least k that the balance window allows.
 """
 
@@ -25,7 +27,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Optional
 
 from splitkit.aba import Abaf
 from splitkit.errors import DegenerateSplit, InvalidBalance
@@ -40,7 +41,9 @@ from splitkit.graphs import (
 )
 from splitkit.semantics import unmask
 from splitkit.setaf import Setaf, primal_graph
-from splitkit.split_aba import QuasiSplitting, make_quasi_splitting, make_splitting, vulnerabilities
+from splitkit.split_aba import (
+    QuasiSplitting, derivable_atoms, make_quasi_splitting, make_splitting, vulnerabilities,
+)
 from splitkit.split_setaf import make_splitting as make_setaf_splitting
 
 IDEAL_LIMIT = 4096
@@ -70,21 +73,19 @@ def _candidates(masks: list[int], total: int, nontrivial: bool) -> list[frozense
 
 
 def splitting_sets(
-    abaf: Abaf,
-    prefixes_only: bool = False,
-    limit: Optional[int] = IDEAL_LIMIT,
-    nontrivial: bool = False,
+    abaf: Abaf, prefixes_only: bool = False, nontrivial: bool = False
 ) -> list[frozenset[int]]:
-    """Candidate splitting sets from the dependency condensation."""
+    """Every splitting set, or with ``prefixes_only`` those on the prefix
+    chains of the dependency condensation; for small frameworks only, since
+    the ideals can number 2^n."""
     cond = condense(dependency_graph(abaf))
-    ideals = prefix_ideals(cond) if prefixes_only else order_ideals(cond, limit)
+    ideals = prefix_ideals(cond) if prefixes_only else order_ideals(cond)
     return _candidates(ideals, abaf.n_atoms, nontrivial)
 
 
-def setaf_splitting_bottoms(
-    sf: Setaf, limit: Optional[int] = IDEAL_LIMIT, nontrivial: bool = False
-) -> list[frozenset[int]]:
-    return _candidates(order_ideals(condense(primal_graph(sf)), limit), sf.n_args, nontrivial)
+def setaf_splitting_bottoms(sf: Setaf, nontrivial: bool = False) -> list[frozenset[int]]:
+    """Every splitting bottom; for small SETAFs only, like ``splitting_sets``."""
+    return _candidates(order_ideals(condense(primal_graph(sf))), sf.n_args, nontrivial)
 
 
 def _score(size: int, total: int, target: float) -> float:
@@ -199,7 +200,7 @@ def find_quasi_splitting(abaf: Abaf, lo: float = 0.25, hi: float = 0.75) -> Quas
     con = pair_contracted(abaf)
     if len(con.groups) <= 1:
         raise DegenerateSplit("framework contracts to a single group")
-    candidates = _quasi_flow(abaf, con, {r.head for r in abaf.rules}, lo, hi)
+    candidates = _quasi_flow(abaf, con, derivable_atoms(abaf), lo, hi)
     if not candidates:
         raise DegenerateSplit("no nontrivial quasi-splitting found")
     total = abaf.n_atoms
@@ -217,7 +218,7 @@ def find_quasi_splitting(abaf: Abaf, lo: float = 0.25, hi: float = 0.75) -> Quas
 
 
 def _quasi_flow(
-    abaf: Abaf, con: _Contracted, heads: set[int], lo: float, hi: float
+    abaf: Abaf, con: _Contracted, derivable: frozenset[int], lo: float, hi: float
 ) -> list[tuple[int, frozenset[int]]]:
     """Candidates: the minimal minimum cuts between pairs of groups, the best
     balanced prefix chain of the sets with no vulnerability and, when none
@@ -227,7 +228,8 @@ def _quasi_flow(
     assumption outside its rule's head group.  A rule links its head group
     to each body group: a non-assumption body atom by a rigid arc (capacity
     ``inf``, never on a finite cut), an assumption through its charge node,
-    whose arc onwards costs 1 if a rule heads the contrary and 0 if not.
+    whose arc onwards costs 1 if the contrary is in ``derivable`` (see
+    ``split_aba.vulnerabilities``) and 0 if not.
     The weights only steer which sets are found; k is counted by
     ``split_aba.vulnerabilities``.
 
@@ -263,9 +265,9 @@ def _quasi_flow(
             else:
                 if b not in charge_node:
                     charge_node[b] = m + len(charge_node)
-                    arcs[(charge_node[b], gb)] = int(abaf.contrary[b] in heads)
+                    arcs[(charge_node[b], gb)] = int(abaf.contrary[b] in derivable)
                 arcs[(gh, charge_node[b])] = inf
-            if b not in abaf.assumptions or abaf.contrary[b] in heads:
+            if b not in abaf.assumptions or abaf.contrary[b] in derivable:
                 below.add((gb, gh))
 
     def adjacency(pairs) -> list[list[int]]:
@@ -291,7 +293,7 @@ def _quasi_flow(
 
     def counted(masks: set[int]) -> list[tuple[int, frozenset[int]]]:
         sets = (frozenset().union(*[g for b, g in zip(bit, con.groups) if mask & b]) for mask in masks)
-        return [(len(vulnerabilities(abaf, atoms, heads)), atoms) for atoms in sets]
+        return [(len(vulnerabilities(abaf, atoms, derivable)), atoms) for atoms in sets]
 
     out = [(0, _most_balanced(chains, abaf.n_atoms, (lo + hi) / 2))] if len(members) > 1 else []
     out += counted(set(sides) - {0, full})

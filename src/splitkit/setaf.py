@@ -18,8 +18,8 @@ from splitkit.semantics import (
     canonical_sets,
     check_guard,
     compute_families,
-    members,
     to_mask,
+    unmask,
 )
 
 Attack = tuple[frozenset[int], int]
@@ -131,7 +131,7 @@ def enumerate_extensions(
         if "tails" not in sf._cache:
             sf._cache["tails"] = [(to_mask(tail), head) for tail, head in sf.attacks]
         masks = compute_families(sf.n_args, sf._cache["tails"], semantics)
-        sf._cache[semantics] = canonical_sets(frozenset(members(m)) for m in masks)
+        sf._cache[semantics] = canonical_sets(unmask(m, range(sf.n_args)) for m in masks)
     return sf._cache[semantics]
 
 

@@ -12,10 +12,11 @@ with its reduct and guarded forms, and the fresh names.  A modification then
 runs its closures on ints and picks prebuilt rules.
 
 Quasi-splittings relax the cut: bottom rule bodies may mention assumptions
-outside S ("vulnerabilities") whose contraries are derived up top.  The
-bottom is then enlarged with one marker assumption per vulnerability that
-forces a guess on it, and the top is constrained with a fact or a loop rule
-enforcing the guess.  This route is exact for stable semantics.
+outside S ("vulnerabilities") whose contraries are derivable up top.  A
+quasi-splitting is a splitting of its expanded bottom, which holds one
+marker assumption per vulnerability to guess it in or out; its top table
+ends with a fact or a loop rule per vulnerability that enforces the guess.
+This route is exact for stable semantics.
 """
 
 from __future__ import annotations
@@ -44,7 +45,9 @@ class _Tables(NamedTuple):
     s: int
     bottom: tuple[tuple[int, int], ...]  # (body mask, head bit) per bottom rule
     pairs: tuple[tuple[int, int], ...]  # (bit, contrary bit) per bottom assumption
-    top: tuple[tuple[int, Rule], ...]  # (S-part mask, Rule(head, body - S))
+    # (S-part mask, Rule(head, body - S)) per top rule, then a quasi-splitting's
+    # (guess bit, enforcing rule) entries
+    top: tuple[tuple[int, Rule], ...]
     contrary: dict[int, int]  # the top's contrary map
 
 
@@ -69,7 +72,8 @@ class AbaSplitting:
     extension leaves an assumption undecided).  Every closure runs on int
     masks, and each top rule is only picked, never rebuilt: the theory of a
     bottom extension lies inside S, so a top rule survives the reduct either
-    as ``body - S`` or not at all.
+    as ``body - S`` or not at all.  ``QuasiSplitting`` is this class on an
+    expanded bottom, with more entries at the end of the top table.
     """
 
     base: Abaf
@@ -90,18 +94,21 @@ class AbaSplitting:
         return _Tables(
             s,
             tuple((to_mask(r.body), 1 << r.head) for r in self.bottom.rules),
-            tuple((1 << a, 1 << self.base.contrary[a]) for a in self.a1),
+            tuple((1 << a, 1 << self.bottom.contrary[a]) for a in self.a1),
             tuple(top),
             {a: self.base.contrary[a] for a in self.a2},
         )
 
     @cached_property
     def _guarded(self) -> _Guarded:
-        names, xu, cu = _with_fresh_pair(self.base.names, "_u", "_cu")
+        taken = set(self.base.names)
+        names = self.base.names + (fresh_name(taken, "_u"), fresh_name(taken, "_cu"))
+        xu, cu = len(names) - 2, len(names) - 1
         u = frozenset({xu})
+        top = self._tables.top[:len(self.r2)]  # the reduct entries, one per top rule
         return _Guarded(
             names, self.a2 | u, {**self._tables.contrary, xu: cu}, Rule(cu, u),
-            tuple((part, Rule(rule.head, rule.body | u)) for part, rule in self._tables.top if part),
+            tuple((part, Rule(rule.head, rule.body | u)) for part, rule in top if part),
         )
 
     def reduct(self, e: Iterable[int]) -> Abaf:
@@ -127,7 +134,7 @@ class AbaSplitting:
         e = self._check_e(e)
         live = _undefeated(self.bottom, theory_closure(self.bottom, e))
         derivable = theory_closure(self.bottom, live)
-        return (self.s - derivable) | frozenset(self.base.contrary[a] for a in e)
+        return (self.s - derivable) | frozenset(self.bottom.contrary[a] for a in e)
 
     def modification(self, e: Iterable[int]) -> Abaf:
         """The reduct, plus the rules lost only to undecided bodies, each
@@ -270,85 +277,48 @@ def split_solve(
 
 
 @dataclass(eq=False)
-class QuasiSplitting:
-    base: Abaf
-    s: frozenset[int]
+class QuasiSplitting(AbaSplitting):
+    """A quasi-splitting of ``base`` by ``s``: a splitting of its expanded bottom.
+
+    ``bottom`` is the expanded bottom: the rules headed in S, their bodies cut
+    to S, the vulnerabilities and their contraries, and for each vulnerability
+    ``b`` with marker ``b'`` (``marker_of[b]``) the rules ``contrary(b) <- b'``
+    and ``c_b' <- b``.  ``a1`` holds its assumptions: those of S, the
+    vulnerabilities and their markers.  The top table ends with the rules
+    that enforce the bottom's guess, ``b <-`` picked when ``b`` is derived and
+    ``contrary(b) <- b`` when ``b'`` is.  The reduct still takes only S out
+    of top bodies: a guessed contrary stays in them, to be derived up top for
+    real, so that a circular top rule cannot confirm its own guess.  A stable
+    bottom extension leaves no assumption undecided, so its modification is
+    the reduct with the enforcing rules; the route is exact for stable
+    semantics only.
+    """
+
     vulnerabilities: frozenset[int]
-    l1: frozenset[int]
-    bottom: Abaf
-    r1: tuple[Rule, ...]
-    r2: tuple[Rule, ...]
-    a1: frozenset[int]
-    a2: frozenset[int]
+    marker_of: dict[int, int]
 
     @property
     def k(self) -> int:
         return len(self.vulnerabilities)
 
     @cached_property
-    def expanded(self) -> tuple[Abaf, dict[int, int]]:
-        """The bottom with one choice marker per vulnerability."""
-        names = list(self.base.names)
-        taken = set(names)
-        marker_of: dict[int, int] = {}
-        marker_contrary: dict[int, int] = {}
-        for b in sorted(self.vulnerabilities):
-            m_name = fresh_name(taken, f"{self.base.names[b]}'")
-            marker_of[b] = len(names)
-            names.append(m_name)
-            c_name = fresh_name(taken, f"c_{m_name}")
-            marker_contrary[b] = len(names)
-            names.append(c_name)
-        rules = [Rule(r.head, r.body & self.l1) for r in self.r1]
-        for b in sorted(self.vulnerabilities):
-            rules.append(Rule(self.base.contrary[b], frozenset({marker_of[b]})))
-            rules.append(Rule(marker_contrary[b], frozenset({b})))
-        assumptions = self.a1 | set(marker_of.values())
-        contrary = {a: self.base.contrary[a] for a in self.a1}
-        for b, m in marker_of.items():
-            contrary[m] = marker_contrary[b]
-        exp = Abaf(tuple(names), tuple(rules), frozenset(assumptions), contrary)
-        return exp, marker_of
-
-    def top_for(self, e1: Iterable[int]) -> Abaf:
-        """Reduct of the top w.r.t. a bottom choice, plus the enforcing rules.
-
-        The theory used for the reduct is taken in the expanded bottom, so
-        accepted vulnerabilities and the contraries of rejected ones count as
-        settled.  Accepting a vulnerability adds it as a fact (which may make
-        the result non-flat); rejecting it adds a loop rule on it.
-        """
-        e1 = frozenset(e1)
-        exp, marker_of = self.expanded
-        if not e1 <= exp.assumptions:
-            raise ValueError("expected an extension of the expanded bottom")
-        th = theory_closure(exp, e1)
-        # Only splitting-set atoms are settled by the bottom choice.  A
-        # guessed contrary lives in the top's own vocabulary and must be
-        # derived up there for real, so it stays in the bodies; deleting
-        # it would let a circular rule confirm its own guess.
-        rules = [
-            Rule(r.head, r.body - (th & self.s))
-            for r in self.r2
-            if r.body & self.s <= th
-        ]
-        for b in sorted(e1 & self.vulnerabilities):
-            rules.append(Rule(b, frozenset()))
-        for b in sorted(self.vulnerabilities):
-            if marker_of[b] in e1:
-                rules.append(Rule(self.base.contrary[b], frozenset({b})))
-        contrary = {a: self.base.contrary[a] for a in self.a2}
-        return Abaf(self.base.names, tuple(rules), self.a2, contrary)
+    def _tables(self) -> _Tables:
+        t = super()._tables
+        vulnerable = sorted(self.vulnerabilities)
+        facts = [(1 << b, Rule(b, frozenset())) for b in vulnerable]
+        loops = [(1 << self.marker_of[b], Rule(self.base.contrary[b], frozenset({b})))
+                 for b in vulnerable]
+        return t._replace(top=t.top + tuple(facts + loops))
 
     def solve(
         self, guard: Optional[int] = None, sub_solver: Optional[SubSolver[Abaf]] = None
     ) -> tuple[frozenset[int], ...]:
         """Stable extensions of the base framework, via the quasi-splitting."""
         def top_of(e1: frozenset[int]):
-            return self.top_for(e1), lambda e2: (e1 & self.s) | (e2 & self.a2)
+            return self.modification(e1), lambda e2: (e1 & self.s) | (e2 & self.a2)
 
         return split_union(
-            Semantics.STB, self.expanded[0], top_of,
+            Semantics.STB, self.bottom, top_of,
             sub_solver or (lambda f, s: enumerate_extensions(f, s, guard)),
         )
 
@@ -356,19 +326,27 @@ class QuasiSplitting:
         """Bottom choice recovering a stable extension of the base framework:
         keep its bottom assumptions and mark every rejected vulnerability."""
         ext = frozenset(extension)
-        _, marker_of = self.expanded
-        markers = frozenset(marker_of[b] for b in self.vulnerabilities - ext)
+        markers = frozenset(self.marker_of[b] for b in self.vulnerabilities - ext)
         return (ext & self.a1) | markers
 
 
-def vulnerabilities(abaf: Abaf, s: frozenset[int], heads: set[int]) -> Optional[frozenset[int]]:
+def derivable_atoms(abaf: Abaf) -> frozenset[int]:
+    """The atoms that some assumption set may derive, bodies unread: the
+    heads of rules, and the assumptions, each derived by itself."""
+    return abaf.assumptions.union(r.head for r in abaf.rules)
+
+
+def vulnerabilities(
+    abaf: Abaf, s: frozenset[int], derivable: frozenset[int]
+) -> Optional[frozenset[int]]:
     """The vulnerabilities of ``s``, or None if ``s`` is no quasi-splitting set.
 
     A vulnerability is an assumption outside ``s`` in the body of a rule
-    headed in ``s`` whose contrary the top derives.  ``heads`` holds the head
-    of every rule of ``abaf``; for an atom-closed ``s`` the contrary lies
-    outside ``s``, so any rule heading it is a top rule.  A non-assumption
-    body atom outside ``s`` of such a rule makes ``s`` invalid.
+    headed in ``s`` whose contrary is derivable: a rule heads it or it is an
+    assumption.  ``derivable`` holds those atoms, ``derivable_atoms(abaf)``.
+    For an atom-closed ``s`` the contrary lies outside ``s``, so a rule
+    heading it is a top rule.  A non-assumption body atom outside ``s`` of
+    such a rule makes ``s`` invalid.
     """
     vulnerable: set[int] = set()
     for r in abaf.rules:
@@ -379,7 +357,7 @@ def vulnerabilities(abaf: Abaf, s: frozenset[int], heads: set[int]) -> Optional[
                 continue
             if b not in abaf.assumptions:
                 return None
-            if abaf.contrary[b] in heads:
+            if abaf.contrary[b] in derivable:
                 vulnerable.add(b)
     return frozenset(vulnerable)
 
@@ -399,13 +377,24 @@ def make_quasi_splitting(abaf: Abaf, sentence_set: Iterable[int]) -> QuasiSplitt
             r1.append(r)
         else:
             r2.append(r)
-    vulnerable = vulnerabilities(abaf, s, {r.head for r in abaf.rules})
+    vulnerable = vulnerabilities(abaf, s, derivable_atoms(abaf))
+    # an assumption outside S that is no vulnerability is never attacked
     l1 = s | vulnerable | frozenset(abaf.contrary[b] for b in vulnerable)
-    a1 = (s & abaf.assumptions) | vulnerable
-    a2 = abaf.assumptions - s
-    bottom = Abaf(abaf.names, tuple(r1), a1, {a: abaf.contrary[a] for a in a1})
+    rules = [Rule(r.head, r.body & l1) for r in r1]
+    contrary = {a: abaf.contrary[a] for a in (s & abaf.assumptions) | vulnerable}
+    names = list(abaf.names)
+    taken = set(names)
+    marker_of: dict[int, int] = {}
+    for b in sorted(vulnerable):
+        marker = marker_of[b] = len(names)
+        names.append(fresh_name(taken, f"{abaf.names[b]}'"))
+        names.append(fresh_name(taken, f"c_{names[marker]}"))
+        contrary[marker] = marker + 1
+        rules += [Rule(abaf.contrary[b], frozenset({marker})), Rule(marker + 1, frozenset({b}))]
+    a1 = frozenset(contrary)
+    bottom = Abaf(tuple(names), tuple(rules), a1, contrary)
     return QuasiSplitting(
-        abaf, s, vulnerable, l1, bottom, tuple(r1), tuple(r2), a1, a2
+        abaf, s, bottom, tuple(r1), tuple(r2), a1, abaf.assumptions - s, vulnerable, marker_of
     )
 
 
@@ -416,10 +405,3 @@ def param_split_solve(
     sub_solver: Optional[SubSolver[Abaf]] = None,
 ) -> tuple[frozenset[int], ...]:
     return make_quasi_splitting(abaf, sentence_set).solve(guard, sub_solver)
-
-
-def _with_fresh_pair(names: tuple[str, ...], first: str, second: str) -> tuple[tuple[str, ...], int, int]:
-    taken = set(names)
-    a = fresh_name(taken, first)
-    b = fresh_name(taken, second)
-    return names + (a, b), len(names), len(names) + 1

@@ -8,7 +8,11 @@ import sys
 from pathlib import Path
 
 from splitkit.aba import Abaf, Rule
+from splitkit.errors import NonAssumptionBodyOut, NotAtomClosed
+from splitkit.finder import pair_contracted
+from splitkit.generate import random_abaf
 from splitkit.setaf import Setaf
+from splitkit.split_aba import make_quasi_splitting
 
 
 def abaf7() -> Abaf:
@@ -85,6 +89,30 @@ def cyclic_abaf(seed: int) -> Abaf:
                 frozenset(range(n_assumptions)), contrary)
 
 
+def assumption_contrary_abaf(seed: int) -> Abaf:
+    """A flat ``random_abaf`` whose contraries are redrawn: each is an
+    assumption (itself possibly) half of the time, else its own ``c_`` atom."""
+    rng = random.Random(seed)
+    d = random_abaf(rng, max_assumptions=5, max_rules=8)
+    order = sorted(d.assumptions)
+    contrary = {a: rng.choice(order) if rng.random() < 0.5 else c for a, c in d.contrary.items()}
+    return Abaf(d.names, d.rules, d.assumptions, contrary)
+
+
+def quasi_splittings(d: Abaf, max_k: int):
+    """Every quasi-splitting of ``d`` by a union of contracted groups, k <= max_k."""
+    con = pair_contracted(d)
+    m = len(con.groups)
+    for mask in range(1 << m):
+        atoms = frozenset().union(*(con.groups[i] for i in range(m) if mask >> i & 1))
+        try:
+            q = make_quasi_splitting(d, atoms)
+        except (NonAssumptionBodyOut, NotAtomClosed):
+            continue
+        if q.k <= max_k:
+            yield q
+
+
 def ids(fw, *names) -> frozenset[int]:
     lookup = fw.atom_id if hasattr(fw, "atom_id") else fw.arg_id
     return frozenset(lookup(n) for n in names)
@@ -121,11 +149,6 @@ def _repo_module(name: str, path: str):
     sys.modules[name] = module  # dataclasses look their module up there
     spec.loader.exec_module(module)
     return module
-
-
-def bench_split_layered():
-    """``layered(seed, block)`` of ``scripts/bench_split.py``: two stacked blocks."""
-    return _repo_module("bench_split", "scripts/bench_split.py").layered
 
 
 def perfbench_stack():

@@ -1,6 +1,6 @@
 import pytest
 
-from helpers import abaf7, abaf_vuln, bench_split_layered, cyclic_abaf, ids, nm, support_sets
+from helpers import abaf7, abaf_vuln, cyclic_abaf, ids, nm, perfbench_stack, support_sets
 from splitkit.aba import (
     Abaf,
     Rule,
@@ -279,7 +279,7 @@ def test_theory_closure_in_expanded_quasi_bottom():
 
     d = abaf_vuln()
     q = make_quasi_splitting(d, ids(d, "a", "a_c", "d", "d_c", "p"))
-    exp, _ = q.expanded
+    exp = q.bottom
     th = theory_closure(exp, ids(exp, "b"))
     assert nm(exp, th) == {"b", "d_c", "c_b'", "p", "a_c"}
 
@@ -334,10 +334,10 @@ def reference_supports(abaf, minimal):
 
 
 def test_support_tables_match_the_set_based_fixpoint():
-    layered = bench_split_layered()
+    stack = perfbench_stack()
     frameworks = [random_abaf(seed, max_assumptions=6, max_rules=10) for seed in range(60)]
     frameworks += [cyclic_abaf(seed) for seed in range(150)]
-    frameworks += [layered(gen, 8 + gen % 2) for gen in range(20)]
+    frameworks += [stack(gen, 2, 8 + gen % 2) for gen in range(20)]
     assert sum(not d.flat for d in frameworks) > 50
     facts = underivable = 0
     for d in frameworks:

@@ -127,11 +127,11 @@ def test_c04_parametrised_worked_example():
     assert fam(d, aba_ext(d, Semantics.STB)) == {frozenset("bc"), frozenset("acd")}
     q = make_quasi_splitting(d, ids(d, "a", "a_c", "d", "d_c", "p"))
     assert nm(d, q.vulnerabilities) == {"b"} and q.k == 1
-    exp, _ = q.expanded
+    exp = q.bottom
     stb1 = aba_ext(exp, Semantics.STB)
     assert fam(exp, stb1) == {frozenset({"b"}), frozenset({"b'", "a", "d"})}
     tops = {
-        frozenset(nm(exp, e1)): q.top_for(e1).rules_by_name() for e1 in stb1
+        frozenset(nm(exp, e1)): q.modification(e1).rules_by_name() for e1 in stb1
     }
     assert tops[frozenset({"b"})] == {("b", frozenset())}
     assert tops[frozenset({"b'", "a", "d"})] == {
@@ -271,12 +271,11 @@ def test_c09_parametrised_splitting_suite(suite9):
                 continue
             checked += 1
             assert q.solve() == direct
-            exp, _ = q.expanded
-            stb_exp = aba_ext(exp, Semantics.STB)
+            stb_exp = aba_ext(q.bottom, Semantics.STB)
             for e in direct:
                 e1 = q.witness_bottom(e)
                 assert e1 in stb_exp
-                assert aba_check(q.top_for(e1), e & q.a2, Semantics.STB)
+                assert aba_check(q.modification(e1), e & q.a2, Semantics.STB)
     elapsed = time.time() - start
     assert elapsed < 120
     report(9, f"{len(suite9)} ABAFs, {checked} quasi-splittings with k<=2, {elapsed:.1f}s")

@@ -1,6 +1,7 @@
 import pytest
 
-from helpers import abaf7, abaf_chain3, attacks_nm, setaf7
+from helpers import abaf7, abaf_chain3, attacks_nm, ids, setaf7
+from splitkit.aba import Abaf
 from splitkit.cli import main
 from splitkit.errors import ParseError, ValidationError
 from splitkit.generate import random_abaf, random_setaf
@@ -11,6 +12,7 @@ from splitkit.io import (
     parse_aba,
     parse_setaf,
 )
+from splitkit.split_aba import make_quasi_splitting
 
 
 def write(tmp_path, name, text):
@@ -101,6 +103,23 @@ def test_param_split_command(tmp_path, capsys):
     path = write(tmp_path, "q.aba", emit_aba(abaf_vuln()))
     assert main(["solve", path, "--semantics", "stb", "--mode", "param"]) == 0
     assert capsys.readouterr().out.splitlines() == ["E a c d", "E b c"]
+
+
+def test_param_split_with_an_assumption_contrary(tmp_path, capsys):
+    # contrary(a) = b is an assumption: a is a vulnerability of {p, d}, not
+    # safe, although no rule heads b
+    d = Abaf.from_names(
+        assumptions={"a": "b", "b": "c", "d": "p"}, rules=[("p", ["a"])],
+    )
+    path = write(tmp_path, "q.aba", emit_aba(d))
+    atoms = [d.atom_id(n) + 1 for n in ("p", "d")]
+    split = write(tmp_path, "s.txt", "\n".join(map(str, atoms)) + "\n")
+    assert main(["solve", path, "--semantics", "stb"]) == 0
+    assert capsys.readouterr().out.splitlines() == ["E b d"]
+    assert main(["solve", path, "--semantics", "stb", "--mode", "param",
+                 "--split-set", split]) == 0
+    assert capsys.readouterr().out.splitlines() == ["E b d"]
+    assert make_quasi_splitting(d, ids(d, "p", "d")).k == 1
 
 
 def test_find_split_pipes_into_split_solve(tmp_path, capsys):

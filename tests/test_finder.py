@@ -3,7 +3,8 @@ import random
 import pytest
 
 from helpers import (
-    abaf7, abaf_chain3, abaf_vuln, bench_split_layered, cyclic_abaf, ids, nm, perfbench_stack, setaf7,
+    abaf7, abaf_chain3, abaf_vuln, assumption_contrary_abaf, cyclic_abaf, ids, nm, perfbench_stack,
+    setaf7,
 )
 from splitkit import finder
 from splitkit.aba import Abaf, Rule
@@ -22,8 +23,11 @@ from splitkit.finder import (
 from splitkit.generate import random_abaf, random_setaf
 from splitkit.graphs import Digraph, condense, flow_network, max_flow, order_ideals, prefix_ideals
 from splitkit.instantiate import aba_to_setaf, setaf_to_aba
+from splitkit.semantics import unmask
 from splitkit.setaf import Setaf
-from splitkit.split_aba import make_quasi_splitting, make_splitting, vulnerabilities
+from splitkit.split_aba import (
+    derivable_atoms, make_quasi_splitting, make_splitting, vulnerabilities,
+)
 from splitkit.split_setaf import make_splitting as make_setaf_splitting
 
 
@@ -170,7 +174,7 @@ TARGETS = (0, 0.3, 0.5, 0.8, 1)
 
 def first_balanced_bottom(sf, target):
     return min(
-        setaf_splitting_bottoms(sf, limit=None, nontrivial=True),
+        setaf_splitting_bottoms(sf, nontrivial=True),
         key=lambda s: (abs(len(s) - target * sf.n_args), len(s), tuple(sorted(s))),
     )
 
@@ -178,7 +182,7 @@ def first_balanced_bottom(sf, target):
 def check_setaf_choice(sf, target):
     """The SETAF finder scores only chain prefixes, so its pick is checked
     against the best score over every nontrivial bottom, not by identity."""
-    bottoms = setaf_splitting_bottoms(sf, limit=None, nontrivial=True)
+    bottoms = setaf_splitting_bottoms(sf, nontrivial=True)
     if not bottoms:
         with pytest.raises(DegenerateSplit):
             find_setaf_splitting(sf, target)
@@ -212,13 +216,19 @@ def test_finders_pick_the_first_balanced_candidate():
 
 def test_truncated_walk_keeps_the_candidate_order_choice():
     """13 independent pairs have 2^13 ideals; the ABA finder sees the first
-    IDEAL_LIMIT, and the SETAF finder matches the walk over all of them."""
+    IDEAL_LIMIT and picks the first of them in candidate order, while
+    ``splitting_sets`` lists them all, and the SETAF finder matches the walk
+    over all of them."""
     d = Abaf.from_names(assumptions={f"a{i}": f"c{i}" for i in range(13)}, rules=[])
-    assert len(order_ideals(condense(dependency_graph(d)), IDEAL_LIMIT)) == IDEAL_LIMIT
+    walked = order_ideals(condense(dependency_graph(d)), IDEAL_LIMIT)
+    assert len(walked) == IDEAL_LIMIT
+    assert len(splitting_sets(d)) == 1 << 13
     sf = Setaf.from_names([f"a{i}" for i in range(13)], [])
-    assert len(setaf_splitting_bottoms(sf, limit=None)) == 1 << 13
+    assert len(setaf_splitting_bottoms(sf)) == 1 << 13
+    seen = [unmask(m, range(d.n_atoms)) for m in walked if 0 < m < (1 << d.n_atoms) - 1]
     for t in TARGETS:
-        assert find_balanced_splitting(d, t) == balanced_candidates(d, t)[0]
+        first = min(seen, key=lambda s: (abs(len(s) - t * d.n_atoms), len(s), tuple(sorted(s))))
+        assert find_balanced_splitting(d, t) == first
         assert find_setaf_splitting(sf, t) == first_balanced_bottom(sf, t)
 
 
@@ -383,23 +393,24 @@ def test_quasi_finder_on_random_group_digraphs():
 
 def paper_k(d, atoms):
     """Vulnerabilities as the paper counts them: assumptions outside the set in
-    the bodies of bottom rules whose contraries a top rule derives."""
-    top_heads = {r.head for r in d.rules if r.head not in atoms}
+    the bodies of bottom rules whose contraries the top derives, as the head
+    of a top rule or as a top assumption."""
+    top = {r.head for r in d.rules if r.head not in atoms} | (d.assumptions - atoms)
     return len({
         b for r in d.rules if r.head in atoms
-        for b in r.body & d.assumptions - atoms if d.contrary[b] in top_heads
+        for b in r.body & d.assumptions - atoms if d.contrary[b] in top
     })
 
 
 def k0_chains(d, con):
     """The nontrivial prefix chains of the graph on the groups with an arc from
     body group to head group for every non-assumption body atom and every
-    assumption body atom whose contrary heads a rule, and that graph's
-    nontrivial order ideals, each as a set of atoms."""
-    heads = {r.head for r in d.rules}
+    assumption body atom whose contrary heads a rule or is an assumption, and
+    that graph's nontrivial order ideals, each as a set of atoms."""
+    derivable = {r.head for r in d.rules} | d.assumptions
     arcs = {
         (con.group_of[b], con.group_of[r.head]) for r in d.rules for b in r.body
-        if b not in d.assumptions or d.contrary[b] in heads
+        if b not in d.assumptions or d.contrary[b] in derivable
     }
     m = len(con.groups)
     cond = condense(Digraph(m, frozenset(arcs)))
@@ -425,13 +436,14 @@ def test_finder_cost_is_the_quasi_splitting_k():
     chain is a candidate."""
     frameworks = [random_abaf(seed, max_assumptions=5, max_rules=8) for seed in range(60)]
     frameworks += [cyclic_abaf(seed) for seed in range(150)]
+    frameworks += [assumption_contrary_abaf(seed) for seed in range(60)]
     assert sum(not d.flat for d in frameworks) > 50
     chained = 0
     for d in frameworks:
         con = pair_contracted(d)
         if len(con.groups) <= 1:
             continue
-        heads = {r.head for r in d.rules}
+        derivable = derivable_atoms(d)
         m = len(con.groups)
         costs = {}
         for mask in range(1, (1 << m) - 1):
@@ -439,12 +451,12 @@ def test_finder_cost_is_the_quasi_splitting_k():
             try:
                 q = make_quasi_splitting(d, atoms)
             except NonAssumptionBodyOut:
-                assert vulnerabilities(d, atoms, heads) is None
+                assert vulnerabilities(d, atoms, derivable) is None
                 continue
             costs[atoms] = q.k
-            assert q.k == paper_k(d, atoms) == len(vulnerabilities(d, atoms, heads))
+            assert q.k == paper_k(d, atoms) == len(vulnerabilities(d, atoms, derivable))
         # no set fits an empty window, so the balls are candidates too
-        candidates = finder._quasi_flow(d, con, heads, 1, 0)
+        candidates = finder._quasi_flow(d, con, derivable, 1, 0)
         for k, atoms in candidates:
             assert costs[atoms] == k
         chains, ideals = k0_chains(d, con)
@@ -457,7 +469,7 @@ def test_finder_cost_is_the_quasi_splitting_k():
     assert chained > 100
 
 
-def all_pairs_quasi_flow(abaf, con, heads, lo, hi):
+def all_pairs_quasi_flow(abaf, con, derivable, lo, hi):
     """The all-pairs loop, kept as the reference for ``finder._quasi_flow``:
     one max-flow per ordered pair of groups, each anchored by rigid arcs from
     a super source and into a super sink, on a copy of the network; then the
@@ -480,7 +492,7 @@ def all_pairs_quasi_flow(abaf, con, heads, lo, hi):
                 if b not in charge_node:
                     charge_node[b] = next_id
                     next_id += 1
-                    arcs[(charge_node[b], gb)] = 1 if abaf.contrary[b] in heads else 0
+                    arcs[(charge_node[b], gb)] = 1 if abaf.contrary[b] in derivable else 0
                 arcs[(gh, charge_node[b])] = inf
     source, sink = next_id, next_id + 1
     seen = set()
@@ -499,7 +511,7 @@ def all_pairs_quasi_flow(abaf, con, heads, lo, hi):
             if not atoms or atoms == abaf.atoms or atoms in seen:
                 continue
             seen.add(atoms)
-            vulnerable = vulnerabilities(abaf, atoms, heads)
+            vulnerable = vulnerabilities(abaf, atoms, derivable)
             if vulnerable is not None:
                 out.append((len(vulnerable), atoms))
     chains = k0_chains(abaf, con)[0]
@@ -508,23 +520,23 @@ def all_pairs_quasi_flow(abaf, con, heads, lo, hi):
     if any(k == 0 and lo * abaf.n_atoms <= len(s) <= hi * abaf.n_atoms for k, s in out):
         return out
     for atoms in ball_sets(abaf, con) - seen - {frozenset(), abaf.atoms}:
-        out.append((len(vulnerabilities(abaf, atoms, heads)), atoms))
+        out.append((len(vulnerabilities(abaf, atoms, derivable)), atoms))
     return out
 
 
 def ball_sets(d, con):
     """Around each group, grown over the rules: the ball adds the groups of
     the body atoms, of rules headed in it, that are no assumption or whose
-    contrary heads a rule, and then those of their non-assumption body atoms
-    until none is left out; and the complements of the balls grown from
-    body atoms to heads."""
-    heads = {r.head for r in d.rules}
+    contrary heads a rule or is an assumption, and then those of their
+    non-assumption body atoms until none is left out; and the complements of
+    the balls grown from body atoms to heads."""
+    derivable = {r.head for r in d.rules} | d.assumptions
 
     def step(atoms, forward, rigid):
         out = set(atoms)
         for r in d.rules:
             for b in r.body:
-                if b not in d.assumptions or (not rigid and d.contrary[b] in heads):
+                if b not in d.assumptions or (not rigid and d.contrary[b] in derivable):
                     src, dst = (r.head, b) if forward else (b, r.head)
                     if src in atoms:
                         out |= con.groups[con.group_of[dst]]
@@ -555,9 +567,10 @@ def test_quasi_flow_candidates_match_the_all_pairs_loop(monkeypatch):
     of 17-20 groups; and every max-flow run has a positive, finite value."""
     frameworks = [random_abaf(seed, max_assumptions=5, max_rules=8) for seed in range(60)]
     frameworks += [cyclic_abaf(seed) for seed in range(150)]
+    frameworks += [assumption_contrary_abaf(seed) for seed in range(60)]
     frameworks += [ring_abaf(n, steps) for n in range(3, 9) for steps in [(1,), (1, 2)]]
-    layered = bench_split_layered()
-    stacks = [layered(seed, block) for block in (8, 9) for seed in range(6)]
+    stack = perfbench_stack()
+    stacks = [stack(seed, 2, block) for block in (8, 9) for seed in range(6)]
     assert {len(pair_contracted(d).groups) for d in stacks} <= set(range(17, 21))
     flows = []
 
@@ -572,14 +585,14 @@ def test_quasi_flow_candidates_match_the_all_pairs_loop(monkeypatch):
         con = pair_contracted(d)
         if len(con.groups) <= 1:
             continue
-        heads = {r.head for r in d.rules}
+        derivable = derivable_atoms(d)
         for window in ((0.25, 0.75), (1, 0)):
-            reference = all_pairs_quasi_flow(d, con, heads, *window)
+            reference = all_pairs_quasi_flow(d, con, derivable, *window)
             flows.clear()
-            assert set(finder._quasi_flow(d, con, heads, *window)) == set(reference)
+            assert set(finder._quasi_flow(d, con, derivable, *window)) == set(reference)
             # no flow runs whose cut is known: zero cuts and rigid pairs
             assert all(0 < value < d.n_atoms + 1 for value in flows)
-        reference = all_pairs_quasi_flow(d, con, heads, 0.25, 0.75)
+        reference = all_pairs_quasi_flow(d, con, derivable, 0.25, 0.75)
         if not reference:
             continue
         q = find_quasi_splitting(d)

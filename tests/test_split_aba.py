@@ -1,7 +1,8 @@
 import pytest
 
 from helpers import (
-    abaf7, abaf_chain3, abaf_vuln, cyclic_abaf, fam, ids, nm, rules_nm, support_sets,
+    abaf7, abaf_chain3, abaf_vuln, assumption_contrary_abaf, cyclic_abaf, fam, ids, nm,
+    quasi_splittings, rules_nm, support_sets,
 )
 from splitkit.aba import (
     Abaf,
@@ -407,7 +408,7 @@ def test_quasi_splitting_errors():
 def test_bottom_expansion_worked_example():
     d = abaf_vuln()
     q = make_quasi_splitting(d, s_q(d))
-    exp, _ = q.expanded
+    exp = q.bottom
     assert exp.rules_by_name() == {
         ("d_c", frozenset({"b"})),
         ("a_c", frozenset({"p"})),  # the unattacked outside assumption c is dropped
@@ -424,19 +425,21 @@ def test_bottom_expansion_worked_example():
 def test_bottom_expansion_without_vulnerabilities_adds_nothing():
     d = abaf7()
     q = make_quasi_splitting(d, s_ex(d))
-    exp, _ = q.expanded
-    assert exp.names == d.names
-    assert exp.rules_by_name() == q.bottom.rules_by_name()
+    sp = make_splitting(d, s_ex(d))
+    assert q.bottom.names == d.names
+    assert q.bottom == sp.bottom  # names, rules in order, assumptions, contraries
+    assert q.marker_of == {} and q.a1 == sp.a1
 
 
 def test_top_constrained_worked_example():
     d = abaf_vuln()
     q = make_quasi_splitting(d, s_q(d))
-    exp, _ = q.expanded
+    exp = q.bottom
     accept_b = ids(exp, "b")
     reject_b = ids(exp, "b'", "a", "d")
-    assert q.top_for(accept_b).rules_by_name() == {("b", frozenset())}
-    assert q.top_for(reject_b).rules_by_name() == {
+    assert nm(exp, {q.marker_of[b] for b in q.vulnerabilities}) == {"b'"}
+    assert q.modification(accept_b).rules_by_name() == {("b", frozenset())}
+    assert q.modification(reject_b).rules_by_name() == {
         ("b_c", frozenset()),
         ("b_c", frozenset({"b"})),
     }
@@ -447,7 +450,9 @@ def test_top_constrained_plain_reduct_without_vulnerabilities():
     q = make_quasi_splitting(d, s_ex(d))
     sp = make_splitting(d, s_ex(d))
     e1 = ids(d, "a")
-    assert q.top_for(e1).rules_by_name() == sp.reduct(e1).rules_by_name()
+    assert q.reduct(e1) == sp.reduct(e1)
+    for e in [e1, *enumerate_extensions(sp.bottom, Semantics.CF)]:
+        assert q.modification(e) == sp.modification(e)
 
 
 def test_param_split_solve_worked_example():
@@ -486,14 +491,37 @@ def test_param_split_equals_oracle_on_random_instances():
             assert q.solve() == direct
 
 
+def test_param_split_with_assumption_contraries_equals_oracle():
+    """An assumption contrary is derivable without a rule, so the body
+    assumption it attacks is a vulnerability: the finder's pick and every
+    quasi set with k <= 2 solve as the oracle does."""
+    from splitkit.errors import DegenerateSplit
+    from splitkit.finder import find_quasi_splitting
+
+    picked = checked = 0
+    for seed in range(400):
+        d = assumption_contrary_abaf(seed)
+        direct = enumerate_extensions(d, Semantics.STB)
+        try:
+            q = find_quasi_splitting(d)
+        except DegenerateSplit:
+            pass
+        else:
+            assert q.solve() == direct
+            picked += 1
+        for q in quasi_splittings(d, 2):
+            assert q.solve() == direct
+            checked += 1
+    assert picked > 350 and checked > 10_000
+
+
 def test_param_split_witness_recovery():
     d = abaf_vuln()
     q = make_quasi_splitting(d, s_q(d))
-    exp, _ = q.expanded
     for e in enumerate_extensions(d, Semantics.STB):
         e1 = q.witness_bottom(e)
-        assert e1 in enumerate_extensions(exp, Semantics.STB)
-        top = q.top_for(e1)
+        assert e1 in enumerate_extensions(q.bottom, Semantics.STB)
+        top = q.modification(e1)
         assert check_extension(top, e & q.a2, Semantics.STB)
 
 
@@ -551,8 +579,7 @@ def test_constrained_top_reports_non_flat():
 
     d = abaf_vuln()
     q = make_quasi_splitting(d, s_q(d))
-    exp, _ = q.expanded
-    top = q.top_for(ids(exp, "b"))  # adds the fact b <-
+    top = q.modification(ids(q.bottom, "b"))  # adds the fact b <-
     report = validate(top)
     assert not report.flat
     assert [top.names[r.head] for r in report.non_flat_rules] == ["b"]

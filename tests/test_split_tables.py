@@ -1,7 +1,7 @@
 """The table-driven reducts and modifications against set-based references.
 
-``AbaSplitting`` and ``SetafSplitting`` build their tops from int-mask tables
-computed once per splitting.  The references below build the same tops the
+``AbaSplitting``, ``QuasiSplitting`` and ``SetafSplitting`` build their tops
+from int-mask tables computed once per splitting.  The references below build the same tops the
 direct way, from sets, one rule or attack at a time; the two must agree field
 by field, rules and attacks in order.
 """
@@ -10,13 +10,13 @@ from itertools import chain, combinations
 
 import pytest
 
-from helpers import bench_split_layered, cyclic_abaf
+from helpers import assumption_contrary_abaf, cyclic_abaf, perfbench_stack, quasi_splittings
 from splitkit.aba import Abaf, Rule, enumerate_extensions, fresh_name, tainted, theory_closure
 from splitkit.finder import find_balanced_splitting, setaf_splitting_bottoms, splitting_sets
 from splitkit.generate import random_abaf, random_setaf
 from splitkit.semantics import Semantics
 from splitkit.setaf import Setaf, attacked_args, induced
-from splitkit.split_aba import AbaSplitting, make_splitting
+from splitkit.split_aba import AbaSplitting, QuasiSplitting, make_splitting
 from splitkit.split_setaf import SetafSplitting, make_splitting as make_setaf_splitting
 
 
@@ -39,7 +39,7 @@ def reference_modification(sp: AbaSplitting, e: frozenset[int], modified: bool =
     if not modified or not ua:
         return Abaf(sp.base.names, rules, sp.a2, contrary)
     derivable = theory_closure(d1, live)
-    ut = tainted(d1, live, ua, derivable)
+    ut = tainted(d1, live, ua)
     inc = (sp.s - derivable) | frozenset(sp.base.contrary[a] for a in e)
     taken = set(sp.base.names)
     xu_name, cu_name = fresh_name(taken, "_u"), fresh_name(taken, "_cu")
@@ -69,17 +69,17 @@ def check_aba(sp: AbaSplitting, choices) -> int:
 def test_aba_tables_match_the_reference_on_random_and_cyclic_frameworks():
     checked = 0
     for d in [random_abaf(seed) for seed in range(120)] + [cyclic_abaf(seed) for seed in range(120)]:
-        for s in splitting_sets(d, limit=None):
+        for s in splitting_sets(d):
             sp = make_splitting(d, s)
             checked += check_aba(sp, subsets(sp.a1))
     assert checked > 10_000
 
 
 def test_aba_tables_match_the_reference_on_the_layered_stacks():
-    layered = bench_split_layered()
+    stack = perfbench_stack()
     guarded = 0
     for gen in range(20):
-        d = layered(gen, 8 + gen % 2)
+        d = stack(gen, 2, 8 + gen % 2)
         sp = make_splitting(d, find_balanced_splitting(d))
         choices = {e for e in enumerate_extensions(sp.bottom, Semantics.CF)}
         check_aba(sp, sorted(choices, key=sorted))
@@ -142,3 +142,81 @@ def test_setaf_tables_match_the_reference_on_the_c07_setafs(suite7):
                 checked += 1
                 defeated += len(sp._top(e1)[1]) < len(sp.a2)
     assert checked > 10_000 and defeated > 1_000
+
+
+# -- quasi-splittings ----------------------------------------------------------
+
+
+def reference_expanded(q: QuasiSplitting) -> tuple[Abaf, dict[int, int]]:
+    """The expanded bottom and the markers, from sets: the bottom rules cut to
+    S, the vulnerabilities and their contraries, then per vulnerability ``b``
+    the rules ``contrary(b) <- b'`` and ``c_b' <- b``."""
+    base = q.base
+    names = list(base.names)
+    taken = set(names)
+    marker_of, marker_contrary = {}, {}
+    for b in sorted(q.vulnerabilities):
+        m_name = fresh_name(taken, f"{base.names[b]}'")
+        marker_of[b] = len(names)
+        names.append(m_name)
+        marker_contrary[b] = len(names)
+        names.append(fresh_name(taken, f"c_{m_name}"))
+    l1 = q.s | q.vulnerabilities | {base.contrary[b] for b in q.vulnerabilities}
+    rules = [Rule(r.head, r.body & l1) for r in q.r1]
+    for b in sorted(q.vulnerabilities):
+        rules.append(Rule(base.contrary[b], frozenset({marker_of[b]})))
+        rules.append(Rule(marker_contrary[b], frozenset({b})))
+    a1 = (q.s & base.assumptions) | q.vulnerabilities
+    contrary = {a: base.contrary[a] for a in a1}
+    for b, m in marker_of.items():
+        contrary[m] = marker_contrary[b]
+    return Abaf(tuple(names), tuple(rules), a1 | set(marker_of.values()), contrary), marker_of
+
+
+def reference_top_for(q: QuasiSplitting, e1: frozenset[int]) -> Abaf:
+    """The top of a bottom choice, from sets: the reduct by the theory of the
+    expanded bottom, then the fact ``b <-`` for each accepted vulnerability
+    and the loop rule ``contrary(b) <- b`` for each marked one."""
+    exp, marker_of = reference_expanded(q)
+    th = theory_closure(exp, e1)
+    rules = [Rule(r.head, r.body - (th & q.s)) for r in q.r2 if r.body & q.s <= th]
+    for b in sorted(e1 & q.vulnerabilities):
+        rules.append(Rule(b, frozenset()))
+    for b in sorted(q.vulnerabilities):
+        if marker_of[b] in e1:
+            rules.append(Rule(q.base.contrary[b], frozenset({b})))
+    contrary = {a: q.base.contrary[a] for a in q.a2}
+    return Abaf(q.base.names, tuple(rules), q.a2, contrary)
+
+
+def test_quasi_tops_match_the_reference():
+    """The expanded bottom and the top of every stable bottom choice, for
+    every quasi set with k <= 2, against the set-based references, non-flat
+    expanded bottoms included; and with k > 0, for every conflict-free choice
+    that leaves an assumption undecided, that only top rules are guarded."""
+    frameworks = [random_abaf(seed, max_assumptions=5, max_rules=8) for seed in range(200)]
+    frameworks += [cyclic_abaf(seed) for seed in range(150)]
+    frameworks += [random_abaf(9000 + i, 6, 9, 3) for i in range(300)]  # the c09 ABAFs
+    frameworks += [assumption_contrary_abaf(seed) for seed in range(100)]
+    splittings = tops = vulnerable = non_flat = undecided = 0
+    for d in frameworks:
+        for q in quasi_splittings(d, 2):
+            exp, marker_of = reference_expanded(q)
+            same_abaf(q.bottom, exp)
+            assert q.marker_of == marker_of and q.a1 == exp.assumptions
+            for e1 in enumerate_extensions(q.bottom, Semantics.STB):
+                same_abaf(q.modification(e1), reference_top_for(q, e1))
+                tops += 1
+            top_rules = {(r.head, r.body - q.s) for r in q.r2}
+            for e1 in enumerate_extensions(q.bottom, Semantics.CF) if q.k else ():
+                top = q.modification(e1)
+                for xu in top.assumptions - q.a2:
+                    guard = Rule(top.contrary[xu], frozenset({xu}))
+                    guarded = [r for r in top.rules if xu in r.body and r != guard]
+                    assert {(r.head, r.body - {xu}) for r in guarded} <= top_rules
+                    undecided += 1
+            splittings += 1
+            vulnerable += q.k > 0
+            non_flat += not q.bottom.flat
+    assert splittings > 15_000 and vulnerable > 5_000 and tops > 15_000 and non_flat > 500
+    assert undecided > 50_000
