@@ -5,11 +5,11 @@ Rows: stacks of random ABA blocks drawn by ``perfbench/workloads.py``.
 First the two-block stacks of ``layered`` (also drawn by
 ``scripts/bench_split.py``), blocks of 8 and 9 assumptions, generator seeds
 0-19; then the three- and four-block stacks of ``beyond``, blocks of 8,
-generator seeds 0-3, whose SETAFs have more order ideals than the ABA
-finder's walk takes.  On each stack the script times
-``find_balanced_splitting``, ``find_setaf_splitting`` on the stack's SETAF
-instantiation and ``find_quasi_splitting``, each as the median of three
-calls, and counts the ``max_flow`` calls of one quasi call.
+generator seeds 0-3, with 24 and 32 assumptions: past the guard of 20, so
+the split route answers only on a cut that balances them.  On each stack
+the script times ``find_balanced_splitting``, ``find_setaf_splitting`` on
+the stack's SETAF instantiation and ``find_quasi_splitting``, each as the
+median of three calls, and counts the ``max_flow`` calls of one quasi call.
 The size of each chosen set, and the quasi k, show that two runs chose alike.
 
 Image rows: ``find_quasi_splitting`` alone on ``setaf_to_aba`` of the SETAF

@@ -326,6 +326,12 @@ def attack_range(
 # -- semantics --------------------------------------------------------------
 
 
+def require_flat(abaf: Abaf, semantics: Semantics) -> None:
+    """Only conflict-free and stable extensions are defined on non-flat frameworks."""
+    if not abaf.flat and semantics not in (Semantics.CF, Semantics.STB):
+        raise NonFlatError(f"{semantics.value} extensions are only supported on flat frameworks")
+
+
 def enumerate_extensions(
     abaf: Abaf, semantics: Semantics, guard: Optional[int] = None
 ) -> tuple[frozenset[int], ...]:
@@ -337,10 +343,7 @@ def enumerate_extensions(
     family becomes sets.  On a non-flat framework a stable extension must
     also be closed: it holds every assumption it derives.
     """
-    if not abaf.flat and semantics not in (Semantics.CF, Semantics.STB):
-        raise NonFlatError(
-            f"{semantics.value} extensions are only supported on flat frameworks"
-        )
+    require_flat(abaf, semantics)
     if semantics not in abaf._cache:
         check_guard(len(abaf.assumptions), guard)
         order = sorted(abaf.assumptions)
@@ -388,10 +391,7 @@ def check_extension(
         return s in enumerate_extensions(abaf, semantics, guard)
     # admissible / complete: an assumption is defended when the assumptions
     # the set leaves unattacked cannot derive its contrary
-    if not abaf.flat:
-        raise NonFlatError(
-            f"{semantics.value} checks are only supported on flat frameworks"
-        )
+    require_flat(abaf, semantics)
     if not cf:
         return False
     attacked = frozenset(a for a in abaf.assumptions if abaf.contrary[a] in th)

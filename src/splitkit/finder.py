@@ -4,13 +4,12 @@ Splitting sets of an ABA framework are exactly the predecessor-closed vertex
 sets of its dependency graph (rule edges body -> head, plus a symmetric pair
 of edges between each assumption and its contrary), and likewise for SETAF
 bottoms on the primal graph.  Condensing the strongly connected components
-makes those sets the order ideals of a DAG, and the finders score candidate
-ideals by how evenly they cut the framework.  The ABA finder walks the
-ideals themselves, up to ``IDEAL_LIMIT`` of them.  The SETAF finder scores
-only the prefixes of five topological orders of the condensation, picked by
-SCC size (``graphs.prefix_ideals``): one ideal per SCC and order, with no
-limit to reach.  ``splitting_sets`` and ``setaf_splitting_bottoms`` list
-every ideal, with no limit either, for sweeps over small frameworks.
+makes those sets the order ideals of a DAG.  Both finders score, by how
+evenly they cut the framework, only the prefixes of five topological orders
+of the condensation picked by SCC size (``graphs.prefix_ideals``): one ideal
+per SCC and order, however many ideals the DAG has, so nothing is walked or
+truncated.  ``splitting_sets`` and ``setaf_splitting_bottoms`` list every
+ideal, for sweeps over small frameworks.
 
 Quasi-splittings drop the requirement that assumption body atoms stay below
 their rule heads.  Finding one with few vulnerabilities is a minimum-cut
@@ -45,8 +44,6 @@ from splitkit.split_aba import (
     QuasiSplitting, derivable_atoms, make_quasi_splitting, make_splitting, vulnerabilities,
 )
 from splitkit.split_setaf import make_splitting as make_setaf_splitting
-
-IDEAL_LIMIT = 4096
 
 
 def dependency_graph(abaf: Abaf) -> Digraph:
@@ -108,7 +105,8 @@ def balanced_candidates(abaf: Abaf, target: float = 0.5) -> list[frozenset[int]]
 
 
 def _most_balanced(ideals: list[int], total: int, target: float) -> frozenset[int]:
-    """The first of the nontrivial ideals in ``balanced_candidates`` order.
+    """The best balanced of the nontrivial ``ideals``, ranked as
+    ``balanced_candidates`` ranks sets.
 
     The score depends on the size alone, so the best size is found from the
     bit counts.  Of two sets of one size, the one with the lower sorted tuple
@@ -128,29 +126,25 @@ def _most_balanced(ideals: list[int], total: int, target: float) -> frozenset[in
     return unmask(win, range(total))
 
 
-def _trivial_only(total: int) -> None:
-    """Fewer than two atoms or arguments leave only the trivial splittings,
-    so the finders stop before building any graph."""
+def _chain_cut(fw, total: int, graph, validate, target: float) -> frozenset[int]:
+    """The best balanced nontrivial prefix of the SCC-size chains of
+    ``graph(fw)``, checked by ``validate``.  Fewer than two items leave only
+    the trivial splittings, so then no graph is built."""
+    _check_target(target)
     if total < 2:
         raise DegenerateSplit("only the trivial splittings exist")
+    cond = condense(graph(fw))
+    best = _most_balanced(prefix_ideals(cond, [len(c) for c in cond.sccs]), total, target)
+    validate(fw, best)  # never trust the construction unvalidated
+    return best
 
 
 def find_balanced_splitting(abaf: Abaf, target: float = 0.5) -> frozenset[int]:
-    _check_target(target)
-    _trivial_only(abaf.n_atoms)
-    cond = condense(dependency_graph(abaf))
-    best = _most_balanced(order_ideals(cond, IDEAL_LIMIT), abaf.n_atoms, target)
-    make_splitting(abaf, best)  # never trust the construction unvalidated
-    return best
+    return _chain_cut(abaf, abaf.n_atoms, dependency_graph, make_splitting, target)
 
 
 def find_setaf_splitting(sf: Setaf, target: float = 0.5) -> frozenset[int]:
-    _check_target(target)
-    _trivial_only(sf.n_args)
-    cond = condense(primal_graph(sf))
-    best = _most_balanced(prefix_ideals(cond, [len(c) for c in cond.sccs]), sf.n_args, target)
-    make_setaf_splitting(sf, best)
-    return best
+    return _chain_cut(sf, sf.n_args, primal_graph, make_setaf_splitting, target)
 
 
 # -- quasi-splitting discovery ------------------------------------------------

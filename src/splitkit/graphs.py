@@ -119,16 +119,16 @@ def condense(g: Digraph) -> Condensation:
     )
 
 
-def order_ideals(cond: Condensation, limit: Optional[int] = None) -> list[int]:
+def order_ideals(cond: Condensation) -> list[int]:
     """All SCC sets closed under predecessors (no dag edge enters from outside),
     each as a bitmask over the original vertices.
 
     An ideal is taken as its SCCs in topological order, each one free to add
     once its predecessors are in.  The ideals come in the preorder of a
     depth-first walk that extends an ideal only by SCCs later in that order
-    than the last one it added, the latest first; with ``limit`` the walk
-    stops after that many ideals.  The walk keeps its own stack, so long
-    chains cannot exhaust the interpreter's.
+    than the last one it added, the latest first.  There can be 2^n of them,
+    so the walk is for small graphs.  It keeps its own stack, so long chains
+    cannot exhaust the interpreter's.
     """
     # Every list is indexed by position in the topological order.
     position = {v: i for i, v in enumerate(cond.topo_order)}
@@ -144,7 +144,7 @@ def order_ideals(cond: Condensation, limit: Optional[int] = None) -> list[int]:
     # them not yet tried.
     stack = [(0, free, free)] if free else []
     out = [0]
-    while stack and (limit is None or len(out) < limit):
+    while stack:
         chosen, free, untried = stack.pop()
         i = untried.bit_length() - 1
         untried ^= 1 << i
@@ -159,7 +159,7 @@ def order_ideals(cond: Condensation, limit: Optional[int] = None) -> list[int]:
                 free |= 1 << j
         if free:
             stack.append((chosen, free, free))
-    return out[:limit]
+    return out
 
 
 def prefix_ideals(cond: Condensation, weight: Optional[Sequence[int]] = None) -> list[int]:

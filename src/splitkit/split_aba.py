@@ -26,7 +26,8 @@ from functools import cached_property
 from typing import Iterable, NamedTuple, Optional
 
 from splitkit.aba import (
-    Abaf, Rule, atom_closure, enumerate_extensions, fresh_name, tainted, theory_closure,
+    Abaf, Rule, atom_closure, enumerate_extensions, fresh_name, require_flat, tainted,
+    theory_closure,
 )
 from splitkit.aba import all_supports, minimal_supports  # noqa: F401  perfbench/layers.py rebinds them here
 from splitkit.errors import (
@@ -173,6 +174,8 @@ class AbaSplitting:
         guard: Optional[int] = None,
         sub_solver: Optional[SubSolver[Abaf]] = None,
     ) -> tuple[frozenset[int], ...]:
+        require_flat(self.base, semantics)  # as the oracle does, though bottom and tops may be flat
+
         def top_of(e1: frozenset[int]):
             return self.modification(e1), lambda e2: e1 | (e2 & self.a2)
 

@@ -10,7 +10,6 @@ from splitkit import finder
 from splitkit.aba import Abaf, Rule
 from splitkit.errors import DegenerateSplit, NonAssumptionBodyOut, NotAtomClosed, ValidationError
 from splitkit.finder import (
-    IDEAL_LIMIT,
     balanced_candidates,
     dependency_graph,
     find_balanced_splitting,
@@ -23,10 +22,10 @@ from splitkit.finder import (
 from splitkit.generate import random_abaf, random_setaf
 from splitkit.graphs import Digraph, condense, flow_network, max_flow, order_ideals, prefix_ideals
 from splitkit.instantiate import aba_to_setaf, setaf_to_aba
-from splitkit.semantics import unmask
+from splitkit.semantics import Semantics
 from splitkit.setaf import Setaf
 from splitkit.split_aba import (
-    derivable_atoms, make_quasi_splitting, make_splitting, vulnerabilities,
+    derivable_atoms, make_quasi_splitting, make_splitting, split_solve, vulnerabilities,
 )
 from splitkit.split_setaf import make_splitting as make_setaf_splitting
 
@@ -194,51 +193,91 @@ def check_setaf_choice(sf, target):
     assert abs(len(chosen) - target * sf.n_args) == best
 
 
+def assumption_split(d, s):
+    """max(|A1|, |A2|): the larger side of the assumptions that ``s`` cuts."""
+    below = len(d.assumptions & s)
+    return max(below, len(d.assumptions) - below)
+
+
+def check_aba_choice(d, target):
+    """The ABA finder scores only chain prefixes, so its pick is checked
+    against every nontrivial splitting set: a valid one, found exactly when
+    one exists, of optimal score at targets 0 and 1 and of optimal
+    max(|A1|, |A2|) at 0.5.  Atom balance at 0.5 need not reach the optimal
+    score, so that is not asserted."""
+    cands = balanced_candidates(d, target)
+    if not cands:
+        with pytest.raises(DegenerateSplit):
+            find_balanced_splitting(d, target)
+        return
+    chosen = find_balanced_splitting(d, target)
+    make_splitting(d, chosen)
+    assert chosen and chosen != frozenset(range(d.n_atoms))
+    if target in (0, 1):
+        score = abs(len(chosen) - target * d.n_atoms)
+        assert score == abs(len(cands[0]) - target * d.n_atoms)
+    if target == 0.5:
+        assert assumption_split(d, chosen) == min(assumption_split(d, s) for s in cands)
+
+
 def test_finders_pick_the_first_balanced_candidate():
-    """The ABA finder picks the first balanced candidate; the SETAF finder
-    picks a valid bottom of optimal score, here and on the 500 c07 SETAFs."""
+    """Both finders pick a valid nontrivial cut exactly when one exists: the
+    SETAF finder of optimal score, here and on the 500 c07 SETAFs; the ABA
+    finder as ``check_aba_choice`` says, here and on the 500 c08 ABAFs."""
     for seed in range(80):
         d = random_abaf(seed, max_assumptions=3 + seed % 6, max_rules=seed % 10)
         sf = random_setaf(seed, max_args=2 + seed % 8, max_attacks=seed % 12)
         for t in TARGETS:
-            cands = balanced_candidates(d, t)
-            if cands:
-                assert find_balanced_splitting(d, t) == cands[0]
-            else:
-                with pytest.raises(DegenerateSplit):
-                    find_balanced_splitting(d, t)
+            check_aba_choice(d, t)
             check_setaf_choice(sf, t)
     for i in range(500):
         sf = random_setaf(7000 + i, 8, 10, 3)
+        d = random_abaf(8000 + i, max_assumptions=7, max_rules=10, max_body=3)
         for t in TARGETS:
             check_setaf_choice(sf, t)
+            check_aba_choice(d, t)
 
 
-def test_truncated_walk_keeps_the_candidate_order_choice():
-    """13 independent pairs have 2^13 ideals; the ABA finder sees the first
-    IDEAL_LIMIT and picks the first of them in candidate order, while
-    ``splitting_sets`` lists them all, and the SETAF finder matches the walk
-    over all of them."""
-    d = Abaf.from_names(assumptions={f"a{i}": f"c{i}" for i in range(13)}, rules=[])
-    walked = order_ideals(condense(dependency_graph(d)), IDEAL_LIMIT)
-    assert len(walked) == IDEAL_LIMIT
-    assert len(splitting_sets(d)) == 1 << 13
-    sf = Setaf.from_names([f"a{i}" for i in range(13)], [])
-    assert len(setaf_splitting_bottoms(sf)) == 1 << 13
-    seen = [unmask(m, range(d.n_atoms)) for m in walked if 0 < m < (1 << d.n_atoms) - 1]
-    for t in TARGETS:
-        first = min(seen, key=lambda s: (abs(len(s) - t * d.n_atoms), len(s), tuple(sorted(s))))
-        assert find_balanced_splitting(d, t) == first
-        assert find_setaf_splitting(sf, t) == first_balanced_bottom(sf, t)
+def free_pairs(n):
+    return Abaf.from_names(assumptions={f"a{i}": f"c{i}" for i in range(n)}, rules=[])
+
+
+def doubling_supports(k):
+    """The fact p0; for i = 1..k assumptions a_i, b_i attacking each other,
+    with p_i <- p_(i-1), a_i and p_i <- p_(i-1), b_i; and x, whose contrary
+    p_k has 2^k minimal supports.  Balanced by atoms, a walk over the order
+    ideals cut it at k = 16 into 20 and 13 assumptions."""
+    rules = [("p0", [])]
+    for i in range(1, k + 1):
+        rules += [(f"ca{i}", [f"b{i}"]), (f"cb{i}", [f"a{i}"]),
+                  (f"p{i}", [f"p{i - 1}", f"a{i}"]), (f"p{i}", [f"p{i - 1}", f"b{i}"])]
+    assumptions = {f"a{i}": f"ca{i}" for i in range(1, k + 1)}
+    assumptions |= {f"b{i}": f"cb{i}" for i in range(1, k + 1)}
+    return Abaf.from_names(assumptions={**assumptions, "x": f"p{k}"}, rules=rules)
 
 
 def test_find_setaf_splitting_never_walks(monkeypatch):
-    """The SETAF finder scores chain prefixes and never enumerates ideals,
-    so 2^20 ideals cost it nothing and nothing is truncated."""
+    """Both finders score chain prefixes and never enumerate ideals, so 2^20
+    ideals cost them nothing and nothing is truncated.  ``splitting_sets``
+    and ``setaf_splitting_bottoms`` still list all 2^13 ideals of 13 free
+    pairs or arguments."""
+    assert len(splitting_sets(free_pairs(13))) == 1 << 13
+    sf13 = Setaf.from_names([f"a{i}" for i in range(13)], [])
+    assert len(setaf_splitting_bottoms(sf13)) == 1 << 13
+    firsts = {t: first_balanced_bottom(sf13, t) for t in TARGETS}
+
     def refuse(*args):
-        raise AssertionError("find_setaf_splitting walked the order ideals")
+        raise AssertionError("a balanced finder walked the order ideals")
 
     monkeypatch.setattr(finder, "order_ideals", refuse)
+    for t in TARGETS:
+        assert find_setaf_splitting(sf13, t) == firsts[t]
+    for n in (13, 20):
+        d = free_pairs(n)
+        for t in TARGETS:
+            chosen = find_balanced_splitting(d, t)
+            best = min(abs(2 * pairs - t * d.n_atoms) for pairs in range(1, n))
+            assert abs(len(chosen) - t * d.n_atoms) == best
     free = Setaf.from_names([f"a{i}" for i in range(20)], [])
     assert len(find_setaf_splitting(free)) == 10
     stack = perfbench_stack()
@@ -247,6 +286,13 @@ def test_find_setaf_splitting_never_walks(monkeypatch):
         chosen = find_setaf_splitting(sf)
         make_setaf_splitting(sf, chosen)
         assert 0 < len(chosen) < sf.n_args
+    stuck = stack(4, 4, 8)
+    chosen = find_balanced_splitting(stuck)
+    assert len(stuck.assumptions & chosen) == len(stuck.assumptions - chosen) == 16
+    lower = frozenset(i for i, n in enumerate(stuck.names) if not n.startswith("t_t_"))
+    assert split_solve(stuck, chosen, Semantics.STB) == split_solve(stuck, lower, Semantics.STB)
+    ladder = doubling_supports(16)
+    assert assumption_split(ladder, find_balanced_splitting(ladder)) <= 17
     cyclic = Setaf.from_names(["a", "b", "c"], [(["a"], "b"), (["b"], "c"), (["c"], "a")])
     with pytest.raises(DegenerateSplit):
         find_setaf_splitting(cyclic)

@@ -14,7 +14,7 @@ from splitkit.aba import (
     minimal_supports,
     theory_closure,
 )
-from splitkit.errors import HeadInBodyOut, NonAssumptionBodyOut, NotAtomClosed
+from splitkit.errors import HeadInBodyOut, NonAssumptionBodyOut, NonFlatError, NotAtomClosed
 from splitkit.generate import random_abaf
 from splitkit.semantics import Semantics
 from splitkit.split_aba import (
@@ -226,6 +226,21 @@ def test_split_solve_full_set_degenerates_to_bottom():
     d = abaf7()
     for sem in SEMS:
         assert split_solve(d, d.atoms, sem) == enumerate_extensions(d, sem)
+
+
+def test_split_solve_rejects_non_flat_as_the_oracle_does():
+    """The one non-flat rule b <- a, p dies in the reduct, since nothing
+    derives p, so bottom and top are flat; the split route still answers
+    only what the oracle answers on the whole framework."""
+    d = Abaf.from_names(assumptions={"a": "ca", "b": "cb"}, rules=[("b", ["a", "p"])],
+                        extra_atoms=["p"])
+    assert not d.flat
+    for sem in SEMS:
+        if sem is Semantics.STB:
+            assert split_solve(d, ids(d, "p"), sem) == enumerate_extensions(d, sem)
+        else:
+            with pytest.raises(NonFlatError):
+                split_solve(d, ids(d, "p"), sem)
 
 
 def test_split_solve_equals_oracle_on_random_instances():
