@@ -15,6 +15,7 @@ from typing import Optional
 from splitkit import aba, generate, instantiate, io, setaf, split_aba, split_setaf
 from splitkit.errors import DegenerateSplit, ParseError, SplitkitError
 from splitkit.finder import (
+    QUASI_WINDOW,
     dependency_graph,
     find_balanced_splitting,
     find_quasi_splitting,
@@ -220,7 +221,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--balance", type=float, default=0.5,
                    help="target share of the atoms in the bottom, in [0, 1]")
     p.add_argument("--quasi", action="store_true")
-    p.add_argument("--window", type=float, default=0.2,
+    p.add_argument("--window", type=float, default=(QUASI_WINDOW[1] - QUASI_WINDOW[0]) / 2,
                    help="half-width of the balance window for --quasi")
     p.add_argument("--dot", default=None, help="also write the dependency/primal graph")
     p.set_defaults(func=cmd_find_split)

@@ -181,7 +181,12 @@ def pair_contracted(abaf: Abaf) -> _Contracted:
     return _Contracted(groups, tuple(group_of))
 
 
-def find_quasi_splitting(abaf: Abaf, lo: float = 0.25, hi: float = 0.75) -> QuasiSplitting:
+QUASI_WINDOW = (0.25, 0.75)  # the default balance window in shares of the atoms, CLI's too
+
+
+def find_quasi_splitting(
+    abaf: Abaf, lo: float = QUASI_WINDOW[0], hi: float = QUASI_WINDOW[1]
+) -> QuasiSplitting:
     """A quasi-splitting with as few vulnerabilities as the balance window allows.
 
     The candidates are the unions of contracted groups that ``_quasi_flow``

@@ -76,89 +76,46 @@ def tarjan_scc(n: int, successors: Sequence[Sequence[int]]) -> list[list[int]]:
 
 @dataclass(eq=True)
 class Condensation:
+    """The SCCs of a digraph, numbered by least vertex, the edges between
+    them, and a topological order of those ids."""
+
     sccs: tuple[frozenset[int], ...]
     dag_edges: frozenset[tuple[int, int]]
     topo_order: tuple[int, ...]
 
 
-def _topological_order(n: int, edges: Iterable[tuple[int, int]]) -> tuple[int, ...]:
-    indeg = [0] * n
-    succ: list[list[int]] = [[] for _ in range(n)]
-    for u, v in sorted(edges):
-        indeg[v] += 1
-        succ[u].append(v)
-    ready = deque(sorted(i for i in range(n) if indeg[i] == 0))
-    order = []
-    while ready:
-        u = ready.popleft()
-        order.append(u)
-        for v in succ[u]:
-            indeg[v] -= 1
-            if indeg[v] == 0:
-                ready.append(v)
-    if len(order) != n:
-        raise ValueError("condensation contains a cycle")
-    return tuple(order)
-
-
 def condense(g: Digraph) -> Condensation:
-    """Contract every SCC to a single vertex; the result is acyclic."""
-    comps = tarjan_scc(g.n, g.successors())
-    comps = sorted((sorted(c) for c in comps), key=lambda c: c[0])
-    member = {}
+    """Contract every SCC to a single vertex; the result is acyclic.  Tarjan
+    emits each SCC after every SCC it reaches, so that order reversed is
+    topological."""
+    found = tarjan_scc(g.n, g.successors())
+    comps = sorted(sorted(c) for c in found)  # disjoint, so ids go by least vertex
+    member = [0] * g.n
     for i, comp in enumerate(comps):
         for v in comp:
             member[v] = i
-    dag_edges = frozenset(
-        (member[u], member[v]) for u, v in g.edges if member[u] != member[v]
-    )
     return Condensation(
-        sccs=tuple(frozenset(c) for c in comps),
-        dag_edges=dag_edges,
-        topo_order=_topological_order(len(comps), dag_edges),
+        tuple(frozenset(c) for c in comps),
+        frozenset((member[u], member[v]) for u, v in g.edges if member[u] != member[v]),
+        tuple(member[c[0]] for c in reversed(found)),
     )
 
 
 def order_ideals(cond: Condensation) -> list[int]:
     """All SCC sets closed under predecessors (no dag edge enters from outside),
-    each as a bitmask over the original vertices.
+    each as a bitmask over the original vertices, the empty one first.
 
-    An ideal is taken as its SCCs in topological order, each one free to add
-    once its predecessors are in.  The ideals come in the preorder of a
-    depth-first walk that extends an ideal only by SCCs later in that order
-    than the last one it added, the latest first.  There can be 2^n of them,
-    so the walk is for small graphs.  It keeps its own stack, so long chains
-    cannot exhaust the interpreter's.
+    The SCCs are taken in topological order, and every ideal found so far
+    that holds the next SCC's predecessors is extended by it.  There can be
+    2^n ideals, so this is for small graphs.
     """
-    # Every list is indexed by position in the topological order.
-    position = {v: i for i, v in enumerate(cond.topo_order)}
-    members = [_mask(cond.sccs[v]) for v in cond.topo_order]
+    members = [_mask(c) for c in cond.sccs]
     need = [0] * len(members)  # the vertices of each SCC's predecessors
-    later: list[list[int]] = [[] for _ in members]  # each SCC's successors
     for u, v in cond.dag_edges:
-        need[position[v]] |= members[position[u]]
-        later[position[u]].append(position[v])
-    free = sum(1 << i for i, m in enumerate(need) if not m)
-    # One frame per ideal on the current branch with SCCs left to try: its
-    # vertices, the positions free to add after its last one, and those of
-    # them not yet tried.
-    stack = [(0, free, free)] if free else []
+        need[v] |= members[u]
     out = [0]
-    while stack:
-        chosen, free, untried = stack.pop()
-        i = untried.bit_length() - 1
-        untried ^= 1 << i
-        if untried:
-            stack.append((chosen, free, untried))
-        chosen |= members[i]
-        out.append(chosen)
-        # Adding ``i`` frees only its own successors, all later than ``i``.
-        free = free >> (i + 1) << (i + 1)
-        for j in later[i]:
-            if not need[j] & ~chosen:
-                free |= 1 << j
-        if free:
-            stack.append((chosen, free, free))
+    for v in cond.topo_order:
+        out += [i | members[v] for i in out if not need[v] & ~i]
     return out
 
 

@@ -34,6 +34,7 @@ from splitkit.errors import (
     HeadInBodyOut,
     NonAssumptionBodyOut,
     NotAtomClosed,
+    ValidationError,
 )
 from splitkit.semantics import Semantics, SubSolver, split_union, to_mask
 from splitkit.semantics import canonical_sets  # noqa: F401  perfbench/layers.py rebinds it here
@@ -223,25 +224,37 @@ def _reduct_rules(t: _Tables, th: int) -> list[Rule]:
     return [rule for part, rule in t.top if part & th == part]
 
 
-def make_splitting(abaf: Abaf, sentence_set: Iterable[int]) -> AbaSplitting:
+def _cut(
+    abaf: Abaf, sentence_set: Iterable[int], loose: frozenset[int], error: type[ValidationError]
+) -> tuple[frozenset[int], tuple[Rule, ...], tuple[Rule, ...]]:
+    """``sentence_set`` checked as a set S of known atoms closed under
+    assumption/contrary pairing, and the rules split into those headed in S
+    and the rest.  A rule headed in S with a body atom outside both S and
+    ``loose`` raises ``error``."""
     s = frozenset(sentence_set)
     if not s <= abaf.atoms:
         raise ValueError("splitting set must contain known atoms")
     missing = atom_closure(abaf, s) - s
     if missing:
         raise NotAtomClosed(abaf.names[min(missing)])
+    allowed = s | loose
     r1, r2 = [], []
     for r in abaf.rules:
-        if r.head in s:
-            if not r.body <= s:
-                raise HeadInBodyOut(r)
+        if r.head not in s:
+            r2.append(r)
+        elif r.body <= allowed:
             r1.append(r)
         else:
-            r2.append(r)
+            raise error(r)
+    return s, tuple(r1), tuple(r2)
+
+
+def make_splitting(abaf: Abaf, sentence_set: Iterable[int]) -> AbaSplitting:
+    s, r1, r2 = _cut(abaf, sentence_set, frozenset(), HeadInBodyOut)
     a1 = s & abaf.assumptions
     a2 = abaf.assumptions - s
-    bottom = Abaf(abaf.names, tuple(r1), a1, {a: abaf.contrary[a] for a in a1})
-    return AbaSplitting(abaf, s, bottom, tuple(r1), tuple(r2), a1, a2)
+    bottom = Abaf(abaf.names, r1, a1, {a: abaf.contrary[a] for a in a1})
+    return AbaSplitting(abaf, s, bottom, r1, r2, a1, a2)
 
 
 def undecided_theory(d1: Abaf, e: Iterable[int]) -> tuple[frozenset[int], frozenset[int]]:
@@ -366,20 +379,7 @@ def vulnerabilities(
 
 
 def make_quasi_splitting(abaf: Abaf, sentence_set: Iterable[int]) -> QuasiSplitting:
-    s = frozenset(sentence_set)
-    if not s <= abaf.atoms:
-        raise ValueError("quasi-splitting set must contain known atoms")
-    missing = atom_closure(abaf, s) - s
-    if missing:
-        raise NotAtomClosed(abaf.names[min(missing)])
-    r1, r2 = [], []
-    for r in abaf.rules:
-        if r.head in s:
-            if not (r.body - abaf.assumptions) <= s:
-                raise NonAssumptionBodyOut(r)
-            r1.append(r)
-        else:
-            r2.append(r)
+    s, r1, r2 = _cut(abaf, sentence_set, abaf.assumptions, NonAssumptionBodyOut)
     vulnerable = vulnerabilities(abaf, s, derivable_atoms(abaf))
     # an assumption outside S that is no vulnerability is never attacked
     l1 = s | vulnerable | frozenset(abaf.contrary[b] for b in vulnerable)
@@ -396,9 +396,7 @@ def make_quasi_splitting(abaf: Abaf, sentence_set: Iterable[int]) -> QuasiSplitt
         rules += [Rule(abaf.contrary[b], frozenset({marker})), Rule(marker + 1, frozenset({b}))]
     a1 = frozenset(contrary)
     bottom = Abaf(tuple(names), tuple(rules), a1, contrary)
-    return QuasiSplitting(
-        abaf, s, bottom, tuple(r1), tuple(r2), a1, abaf.assumptions - s, vulnerable, marker_of
-    )
+    return QuasiSplitting(abaf, s, bottom, r1, r2, a1, abaf.assumptions - s, vulnerable, marker_of)
 
 
 def param_split_solve(

@@ -4,6 +4,7 @@ from helpers import abaf7, abaf_chain3, attacks_nm, ids, setaf7
 from splitkit.aba import Abaf
 from splitkit.cli import main
 from splitkit.errors import ParseError, ValidationError
+from splitkit.finder import find_quasi_splitting
 from splitkit.generate import random_abaf, random_setaf
 from splitkit.io import (
     emit_aba,
@@ -143,6 +144,16 @@ def test_find_split_quasi_and_dot(tmp_path, capsys):
     out = capsys.readouterr().out
     assert out.startswith("# k ")
     assert dot.read_text().startswith("digraph")
+
+
+def test_find_split_quasi_prints_the_set_that_param_solves_with(tmp_path, capsys):
+    # a window of [0.3, 0.7] picks k = 1 with 4 of the 8 atoms here; the
+    # finder's default window picks k = 0 with 6
+    d = random_abaf(9014, max_assumptions=6, max_rules=9, max_body=3)
+    path = write(tmp_path, "q.aba", emit_aba(d))
+    assert main(["find-split", path, "--quasi"]) == 0
+    atoms = [str(a + 1) for a in sorted(find_quasi_splitting(d).s)]
+    assert capsys.readouterr().out.splitlines() == ["# k 0", *atoms]
 
 
 def test_instantiate_chain3(tmp_path, capsys):

@@ -47,15 +47,29 @@ def random_graph(rng, n):
     return Digraph(n, frozenset(edges))
 
 
-def test_bitmask_walk_matches_the_frozenset_walk():
-    """Same ideals in the same order on random graphs of up to 14 vertices,
-    so that the walk stays short."""
+def random_condensations():
+    """The condensations of 60 random graphs of up to 14 vertices, so that
+    the walk stays short."""
     rng = random.Random(0)
     for _ in range(60):
-        n = rng.randint(0, 14)
-        cond = condense(random_graph(rng, n))
-        expected = [as_mask(cond, ideal) for ideal in frozenset_walk(cond)]
-        assert order_ideals(cond) == expected
+        yield condense(random_graph(rng, rng.randint(0, 14)))
+
+
+def test_bitmask_walk_matches_the_frozenset_walk():
+    """The same ideals, each listed once."""
+    for cond in random_condensations():
+        expected = {as_mask(cond, ideal) for ideal in frozenset_walk(cond)}
+        ideals = order_ideals(cond)
+        assert len(ideals) == len(set(ideals))
+        assert set(ideals) == expected
+
+
+def test_topo_order_is_a_topological_order_of_the_sccs():
+    """A permutation of the SCC ids with every dag edge pointing forward."""
+    for cond in random_condensations():
+        assert sorted(cond.topo_order) == list(range(len(cond.sccs)))
+        position = {v: i for i, v in enumerate(cond.topo_order)}
+        assert all(position[u] < position[v] for u, v in cond.dag_edges)
 
 
 def test_walk_lists_every_ideal_of_independent_vertices():
