@@ -24,15 +24,13 @@ two trees of the program, each run with its own ``PYTHONPATH``:
     PYTHONPATH=src python3 scripts/bench_finder.py --label change
 """
 
-import argparse
 import json
-import os
-import platform
 import statistics
 import sys
 import time
 from pathlib import Path
 
+from bench_runs import parser, store
 from splitkit import finder
 from splitkit.instantiate import aba_to_setaf, setaf_to_aba
 
@@ -55,10 +53,7 @@ def timed(find, fw) -> tuple[float, object]:
 
 
 def main() -> None:
-    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--label", required=True, help="name of this run, e.g. parent or change")
-    ap.add_argument("--out", default="BENCH_finder.json")
-    args = ap.parse_args()
+    args = parser(__doc__, "BENCH_finder.json").parse_args()
 
     flows = 0
     max_flow = finder.max_flow
@@ -108,22 +103,9 @@ def main() -> None:
     totals["image_quasi_ms"] = round(sum(row["quasi_ms"] for row in image_rows), 3)
     print(json.dumps({"totals": totals}), flush=True)
 
-    doc = {"script": "scripts/bench_finder.py", "runs": {}}
-    if os.path.exists(args.out):
-        with open(args.out) as fh:
-            doc = json.load(fh)
-    doc["runs"][args.label] = {
-        "python": platform.python_version(),
-        "machine": platform.machine(),
-        "cpus": os.cpu_count(),
-        "repeats": REPEATS,
-        "totals": totals,
-        "rows": rows,
-        "image_rows": image_rows,
-    }
-    with open(args.out, "w") as fh:
-        json.dump(doc, fh, indent=1)
-        fh.write("\n")
+    store(args, "scripts/bench_finder.py", {
+        "repeats": REPEATS, "totals": totals, "rows": rows, "image_rows": image_rows,
+    })
 
 
 if __name__ == "__main__":

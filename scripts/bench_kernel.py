@@ -15,14 +15,12 @@ two trees of the program, each run with its own ``PYTHONPATH``:
     PYTHONPATH=src python3 scripts/bench_kernel.py --label change
 """
 
-import argparse
 import json
-import os
-import platform
 import random
 import statistics
 import time
 
+from bench_runs import parser, store
 from splitkit.semantics import Semantics, compute_families
 
 SIZES = (8, 12, 16, 20)
@@ -61,10 +59,7 @@ def timed(n: int, attacks, semantics: Semantics) -> dict:
 
 
 def main() -> None:
-    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--label", required=True, help="name of this run, e.g. parent or change")
-    ap.add_argument("--out", default="BENCH_kernel.json")
-    args = ap.parse_args()
+    args = parser(__doc__, "BENCH_kernel.json").parse_args()
 
     rows = []
     for n in SIZES:
@@ -81,20 +76,7 @@ def main() -> None:
         rows.append(row)
         print(json.dumps(row), flush=True)
 
-    doc = {"script": "scripts/bench_kernel.py", "runs": {}}
-    if os.path.exists(args.out):
-        with open(args.out) as fh:
-            doc = json.load(fh)
-    doc["runs"][args.label] = {
-        "python": platform.python_version(),
-        "machine": platform.machine(),
-        "cpus": os.cpu_count(),
-        "repeats": REPEATS,
-        "rows": rows,
-    }
-    with open(args.out, "w") as fh:
-        json.dump(doc, fh, indent=1)
-        fh.write("\n")
+    store(args, "scripts/bench_kernel.py", {"repeats": REPEATS, "rows": rows})
 
 
 if __name__ == "__main__":

@@ -33,15 +33,13 @@ program, each run with its own ``PYTHONPATH``:
     PYTHONPATH=src python3 scripts/bench_oracle.py --label change
 """
 
-import argparse
 import json
-import os
-import platform
 import statistics
 import sys
 import time
 from pathlib import Path
 
+from bench_runs import parser, store
 from splitkit import setaf
 from splitkit.aba import Abaf, enumerate_extensions, minimal_supports
 from splitkit.finder import find_balanced_splitting, setaf_splitting_bottoms
@@ -143,10 +141,7 @@ def with_table(fws):
 
 
 def main() -> None:
-    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--label", required=True, help="name of this run, e.g. parent or change")
-    ap.add_argument("--out", default="BENCH_oracle.json")
-    args = ap.parse_args()
+    args = parser(__doc__, "BENCH_oracle.json").parse_args()
 
     everything, solved, triples = pieces()
     rows = []
@@ -175,20 +170,7 @@ def main() -> None:
     row("setaf_modification", len(triples),
         timed(fresh_splittings(make_setaf_splitting, triples), modify))
 
-    doc = {"script": "scripts/bench_oracle.py", "runs": {}}
-    if os.path.exists(args.out):
-        with open(args.out) as fh:
-            doc = json.load(fh)
-    doc["runs"][args.label] = {
-        "python": platform.python_version(),
-        "machine": platform.machine(),
-        "cpus": os.cpu_count(),
-        "repeats": REPEATS,
-        "rows": rows,
-    }
-    with open(args.out, "w") as fh:
-        json.dump(doc, fh, indent=1)
-        fh.write("\n")
+    store(args, "scripts/bench_oracle.py", {"repeats": REPEATS, "rows": rows})
 
 
 if __name__ == "__main__":

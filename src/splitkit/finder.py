@@ -16,10 +16,11 @@ their rule heads.  Finding one with few vulnerabilities is a minimum-cut
 problem on the pair-contracted dependency graph: crossing a vulnerable
 assumption (one whose contrary a rule heads or is an assumption) costs one,
 everything else is rigid or free.  The finder ranks one pool for every group
-count: the balls around each group, the minimal minimum cuts anchored on
-pairs of groups, and the prefix chains of the sets with no vulnerability at
-all.  The pool is not
-every set, so it can miss the least k that the balance window allows.
+count, built in the order of the ranking: first sets with no vulnerability
+at all, a balanced prefix chain and the reach of each group; then, only if
+none of them fits the balance window, the minimal minimum cuts anchored on
+pairs of groups and the balls around each group.  The pool is not every
+set, so it can miss the least k that the balance window allows.
 """
 
 from __future__ import annotations
@@ -69,15 +70,10 @@ def _candidates(masks: list[int], total: int, nontrivial: bool) -> list[frozense
     return sorted(sets, key=lambda s: (len(s), tuple(sorted(s))))
 
 
-def splitting_sets(
-    abaf: Abaf, prefixes_only: bool = False, nontrivial: bool = False
-) -> list[frozenset[int]]:
-    """Every splitting set, or with ``prefixes_only`` those on the prefix
-    chains of the dependency condensation; for small frameworks only, since
-    the ideals can number 2^n."""
-    cond = condense(dependency_graph(abaf))
-    ideals = prefix_ideals(cond) if prefixes_only else order_ideals(cond)
-    return _candidates(ideals, abaf.n_atoms, nontrivial)
+def splitting_sets(abaf: Abaf, nontrivial: bool = False) -> list[frozenset[int]]:
+    """Every splitting set; for small frameworks only, since the ideals can
+    number 2^n."""
+    return _candidates(order_ideals(condense(dependency_graph(abaf))), abaf.n_atoms, nontrivial)
 
 
 def setaf_splitting_bottoms(sf: Setaf, nontrivial: bool = False) -> list[frozenset[int]]:
@@ -219,34 +215,34 @@ def find_quasi_splitting(
 def _quasi_flow(
     abaf: Abaf, con: _Contracted, derivable: frozenset[int], lo: float, hi: float
 ) -> list[tuple[int, frozenset[int]]]:
-    """Candidates: the minimal minimum cuts between pairs of groups, the best
-    balanced prefix chain of the sets with no vulnerability and, when none
-    is a set with k = 0 in the window ``[lo, hi]``, the balls around groups.
+    """Candidates in the order of the ranking: sets with k = 0 and, only if
+    none lies in the window ``[lo, hi]``, minimal minimum cuts and balls.
 
     The network has a node per contracted group and a charge node per body
     assumption outside its rule's head group.  A rule links its head group
     to each body group: a non-assumption body atom by a rigid arc (capacity
     ``inf``, never on a finite cut), an assumption through its charge node,
     whose arc onwards costs 1 if the contrary is in ``derivable`` (see
-    ``split_aba.vulnerabilities``) and 0 if not.
-    The weights only steer which sets are found; k is counted by
-    ``split_aba.vulnerabilities``.
+    ``split_aba.vulnerabilities``) and 0 if not.  Rigid links and links of
+    cost 1 are the positive links.
 
-    Around each group ``gs``, ``graphs.balls`` grows sets over the positive
-    links between groups, from what ``gs`` reaches over rigid arcs to all it
-    reaches.  Every other group ``gt`` anchors a cut.  If ``gs`` reaches
-    ``gt`` over rigid arcs, no cut is finite; if not at all, the side is the
-    last ball.  Only the other pairs run ``max_flow``, all on one residual
-    network built for the call.  The positive links, turned round, make a
-    graph whose order ideals are exactly the sets with k = 0.  Of its
-    ``graphs.prefix_ideals``, weighted by atoms, the ranking can only choose
-    the best balanced, so that one is the candidate.
+    Stage 0 has k = 0 by construction, so nothing is counted.  The positive
+    links, turned round, make a graph whose order ideals are exactly the
+    sets with k = 0; of its ``graphs.prefix_ideals``, weighted by atoms, the
+    ranking can only choose the best balanced.  Each group's reach, the last
+    of the ``graphs.balls`` grown around it over the positive links, is
+    closed under them.
 
-    A cut's minimal side has the least k around ``gs``, which may miss the
-    window: on a ring of groups it is one group or all but one.  The other
-    balls, and the complements of the balls over the links turned round, add
-    the sets between.  The least k in the window is a balanced minimum cut,
-    so the pool is not exhaustive and can miss it.
+    Stage 1 runs ``max_flow``, on one residual network, from each group
+    ``gs`` to each ``gt`` that ``gs`` reaches, but not over rigid arcs alone
+    (no cut is finite then).  The cut crosses a charge arc of capacity 1, so
+    its side has k >= 1, counted by ``split_aba.vulnerabilities``, and
+    cannot beat a stage-0 set in the window.  A cut's minimal side has the
+    least k around ``gs``, which may miss the window: on a ring of groups it
+    is one group or all but one.  The other balls, and the complements of
+    the balls over the links turned round, add the sets between.  The least
+    k in the window is a balanced minimum cut, so the pool is not exhaustive
+    and can miss it.
     """
     m = len(con.groups)
     charge_node: dict[int, int] = {}
@@ -272,32 +268,29 @@ def _quasi_flow(
     def adjacency(pairs) -> list[list[int]]:
         return Digraph(m, frozenset(pairs)).successors()
 
+    def atoms(mask: int) -> frozenset[int]:
+        return frozenset().union(*[g for gi, g in enumerate(con.groups) if mask >> gi & 1])
+
     rigid = {(u, v) for u, v in arcs if max(u, v) < m}  # the rigid arcs between groups
     down, rigid_down = adjacency((gh, gb) for gb, gh in below), adjacency(rigid)
-    network = flow_network(m + len(charge_node), arcs)
-    bit = [1 << g for g in range(m)] + [0] * len(charge_node)  # charge nodes count for none
+    around = [balls(down, rigid_down, gs) for gs in range(m)]
     full = (1 << m) - 1
-    sides, grown = [], []
-    for gs in range(m):
-        around = balls(down, rigid_down, gs)
-        grown += around
-        sides.append(around[-1])
-        sides += (
-            sum(map(bit.__getitem__, max_flow(network, gs, gt)[1]))
-            for gt in range(m) if around[-1] >> gt & 1 and not around[0] >> gt & 1
-        )
+    reaches = {grown[-1] for grown in around} - {full}
     cond = condense(Digraph(m, frozenset(below)))
     members = tuple(frozenset().union(*[con.groups[g] for g in scc]) for scc in cond.sccs)
     chains = prefix_ideals(replace(cond, sccs=members), [len(c) for c in members])
-
-    def counted(masks: set[int]) -> list[tuple[int, frozenset[int]]]:
-        sets = (frozenset().union(*[g for b, g in zip(bit, con.groups) if mask & b]) for mask in masks)
-        return [(len(vulnerabilities(abaf, atoms, derivable)), atoms) for atoms in sets]
-
     out = [(0, _most_balanced(chains, abaf.n_atoms, (lo + hi) / 2))] if len(members) > 1 else []
-    out += counted(set(sides) - {0, full})
-    if any(k == 0 and lo * abaf.n_atoms <= len(s) <= hi * abaf.n_atoms for k, s in out):
+    out += [(0, atoms(mask)) for mask in reaches]
+    if any(lo * abaf.n_atoms <= len(s) <= hi * abaf.n_atoms for _, s in out):
         return out  # no set beats k = 0 in the window
+    network = flow_network(m + len(charge_node), arcs)
+    found = {  # charge nodes count for no group
+        sum(1 << g for g in max_flow(network, gs, gt)[1] if g < m)
+        for gs, grown in enumerate(around) for gt in range(m)
+        if grown[-1] >> gt & 1 and not grown[0] >> gt & 1
+    }
+    found.update(ball for grown in around for ball in grown)
     up, rigid_up = adjacency(below), adjacency((v, u) for u, v in rigid)
-    grown += [full ^ ball for gs in range(m) for ball in balls(up, rigid_up, gs)]
-    return out + counted(set(grown) - set(sides) - {0, full})
+    found.update(full ^ ball for gs in range(m) for ball in balls(up, rigid_up, gs))
+    sets = map(atoms, found - reaches - {0, full})
+    return out + [(len(vulnerabilities(abaf, s, derivable)), s) for s in sets]

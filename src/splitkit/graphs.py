@@ -5,7 +5,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Sequence
 
 
 @dataclass(eq=True)
@@ -119,38 +119,35 @@ def order_ideals(cond: Condensation) -> list[int]:
     return out
 
 
-def prefix_ideals(cond: Condensation, weight: Optional[Sequence[int]] = None) -> list[int]:
-    """The prefixes of a few topological orders of the condensation, each as a
-    bitmask over the original vertices, the empty ideal first.
+def prefix_ideals(cond: Condensation, weight: Sequence[int]) -> list[int]:
+    """The prefixes of five topological orders of the condensation, weighted
+    by ``weight`` per SCC, each as a bitmask over the original vertices, the
+    empty ideal first.
 
-    Without ``weight`` the one order is ``cond.topo_order``.  With a weight
-    per SCC there are five: Kahn's algorithm from the sources taking the
-    lightest ready SCC first, the heaviest first and the lowest id first; and
-    the reverse of peeling the sinks lightest first and heaviest first, whose
+    The orders are Kahn's algorithm from the sources taking the lightest
+    ready SCC first, the heaviest first and the lowest id first; and the
+    reverse of peeling the sinks lightest first and heaviest first, whose
     prefixes are the complements of up-sets.  Ties go to the lowest id.  Each
     order gives one ideal per SCC, however many ideals the DAG has.
     """
     members = [_mask(c) for c in cond.sccs]
-    if weight is None:
-        orders = [cond.topo_order]
-    else:
-        n = len(members)
-        succ: list[list[int]] = [[] for _ in range(n)]
-        pred: list[list[int]] = [[] for _ in range(n)]
-        for u, v in cond.dag_edges:
-            succ[u].append(v)
-            pred[v].append(u)
-        # A key is unique and leaves its SCC as the remainder mod n: lowest
-        # id, then lightest and heaviest first.  With equal weights those two
-        # orders are the lowest-id one, so they are left out, and the sinks
-        # are peeled by the last two keys, or by the one left.
-        keys: list[Sequence[int]] = [range(n)]
-        top = max(weight, default=0)
-        if min(weight, default=0) < top:
-            keys.append([w * n + v for v, w in enumerate(weight)])
-            keys.append([(top - w) * n + v for v, w in enumerate(weight)])
-        orders = [_kahn(succ, pred, key) for key in keys]
-        orders += [_kahn(pred, succ, key)[::-1] for key in keys[-2:]]
+    n = len(members)
+    succ: list[list[int]] = [[] for _ in range(n)]
+    pred: list[list[int]] = [[] for _ in range(n)]
+    for u, v in cond.dag_edges:
+        succ[u].append(v)
+        pred[v].append(u)
+    # A key is unique and leaves its SCC as the remainder mod n: lowest id,
+    # then lightest and heaviest first.  With equal weights those two orders
+    # are the lowest-id one, so they are left out, and the sinks are peeled
+    # by the last two keys, or by the one left.
+    keys: list[Sequence[int]] = [range(n)]
+    top = max(weight, default=0)
+    if min(weight, default=0) < top:
+        keys.append([w * n + v for v, w in enumerate(weight)])
+        keys.append([(top - w) * n + v for v, w in enumerate(weight)])
+    orders = [_kahn(succ, pred, key) for key in keys]
+    orders += [_kahn(pred, succ, key)[::-1] for key in keys[-2:]]
     out = [0]
     for order in orders:
         chosen = 0

@@ -34,6 +34,7 @@ from splitkit.errors import (
     HeadInBodyOut,
     NonAssumptionBodyOut,
     NotAtomClosed,
+    UnsupportedSemantics,
     ValidationError,
 )
 from splitkit.semantics import Semantics, SubSolver, split_union, to_mask
@@ -327,9 +328,16 @@ class QuasiSplitting(AbaSplitting):
         return t._replace(top=t.top + tuple(facts + loops))
 
     def solve(
-        self, guard: Optional[int] = None, sub_solver: Optional[SubSolver[Abaf]] = None
+        self,
+        semantics: Semantics = Semantics.STB,
+        guard: Optional[int] = None,
+        sub_solver: Optional[SubSolver[Abaf]] = None,
     ) -> tuple[frozenset[int], ...]:
-        """Stable extensions of the base framework, via the quasi-splitting."""
+        """Stable extensions of the base framework, via the quasi-splitting;
+        the route covers no other semantics."""
+        if semantics is not Semantics.STB:
+            raise UnsupportedSemantics(f"quasi-splitting covers stb only, not {semantics.value}")
+
         def top_of(e1: frozenset[int]):
             return self.modification(e1), lambda e2: (e1 & self.s) | (e2 & self.a2)
 
@@ -405,4 +413,4 @@ def param_split_solve(
     guard: Optional[int] = None,
     sub_solver: Optional[SubSolver[Abaf]] = None,
 ) -> tuple[frozenset[int], ...]:
-    return make_quasi_splitting(abaf, sentence_set).solve(guard, sub_solver)
+    return make_quasi_splitting(abaf, sentence_set).solve(Semantics.STB, guard, sub_solver)

@@ -9,8 +9,9 @@ from pathlib import Path
 
 from splitkit.aba import Abaf, Rule
 from splitkit.errors import NonAssumptionBodyOut, NotAtomClosed
-from splitkit.finder import pair_contracted
+from splitkit.finder import dependency_graph, pair_contracted
 from splitkit.generate import random_abaf
+from splitkit.graphs import condense
 from splitkit.setaf import Setaf
 from splitkit.split_aba import make_quasi_splitting
 
@@ -111,6 +112,17 @@ def quasi_splittings(d: Abaf, max_k: int):
             continue
         if q.k <= max_k:
             yield q
+
+
+def topo_prefixes(d: Abaf) -> list[frozenset[int]]:
+    """The splitting sets on one prefix chain of the dependency condensation,
+    that of its topological order, the empty set first: a sample of at most
+    n + 1 of the up to 2^n splitting sets."""
+    cond = condense(dependency_graph(d))
+    chain = [frozenset()]
+    for v in cond.topo_order:
+        chain.append(chain[-1] | cond.sccs[v])
+    return chain
 
 
 def ids(fw, *names) -> frozenset[int]:

@@ -10,7 +10,9 @@ import time
 
 import pytest
 
-from helpers import abaf7, abaf_chain3, abaf_vuln, attacks_nm, fam, ids, nm, setaf7, support_sets
+from helpers import (
+    abaf7, abaf_chain3, abaf_vuln, attacks_nm, fam, ids, nm, setaf7, support_sets, topo_prefixes,
+)
 from splitkit.aba import (
     atom_closure,
     check_extension as aba_check,
@@ -25,7 +27,6 @@ from splitkit.finder import (
     dependency_graph,
     pair_contracted,
     setaf_splitting_bottoms,
-    splitting_sets,
 )
 from splitkit.generate import random_abaf, random_setaf
 from splitkit.graphs import condense
@@ -223,7 +224,7 @@ def test_c08_aba_splitting_theorem_suite(suite8):
         fams = {sem: aba_ext(d, sem) for sem in SPLIT_SEMS}
         whole_sup = support_sets(minimal_supports(d))
         cf_whole = aba_ext(d, Semantics.CF)
-        for s in splitting_sets(d, prefixes_only=True):
+        for s in topo_prefixes(d):
             sp = make_splitting(d, s)
             checked += 1
             # conservativity: bottom attacks never leave the bottom

@@ -606,11 +606,8 @@ def ball_sets(d, con):
     return out
 
 
-def test_quasi_flow_candidates_match_the_all_pairs_loop(monkeypatch):
-    """Same candidates, k included, in the default window and in an empty one
-    that no set fits, and the same choice as the all-pairs loop with the
-    prefix chains and balls, on small frameworks, rings and two-block stacks
-    of 17-20 groups; and every max-flow run has a positive, finite value."""
+def quasi_corpora():
+    """Small frameworks, rings and two-block stacks of 17-20 groups."""
     frameworks = [random_abaf(seed, max_assumptions=5, max_rules=8) for seed in range(60)]
     frameworks += [cyclic_abaf(seed) for seed in range(150)]
     frameworks += [assumption_contrary_abaf(seed) for seed in range(60)]
@@ -618,6 +615,16 @@ def test_quasi_flow_candidates_match_the_all_pairs_loop(monkeypatch):
     stack = perfbench_stack()
     stacks = [stack(seed, 2, block) for block in (8, 9) for seed in range(6)]
     assert {len(pair_contracted(d).groups) for d in stacks} <= set(range(17, 21))
+    return frameworks + stacks
+
+
+def test_quasi_flow_candidates_match_the_all_pairs_loop(monkeypatch):
+    """In an empty window, that no set fits, the same candidates as the
+    all-pairs loop with the prefix chains and balls, k included.  In the
+    default window a subset of them, with the same k, that leaves out only
+    sets with k >= 1 and, if it leaves out any, holds a set with k = 0 in
+    the window.  The same choice as the all-pairs loop, and every max-flow
+    run has a positive, finite value."""
     flows = []
 
     def recorded(*args):
@@ -627,18 +634,22 @@ def test_quasi_flow_candidates_match_the_all_pairs_loop(monkeypatch):
 
     monkeypatch.setattr(finder, "max_flow", recorded)
     compared = 0
-    for d in frameworks + stacks:
+    for d in quasi_corpora():
         con = pair_contracted(d)
         if len(con.groups) <= 1:
             continue
         derivable = derivable_atoms(d)
-        for window in ((0.25, 0.75), (1, 0)):
-            reference = all_pairs_quasi_flow(d, con, derivable, *window)
-            flows.clear()
-            assert set(finder._quasi_flow(d, con, derivable, *window)) == set(reference)
-            # no flow runs whose cut is known: zero cuts and rigid pairs
-            assert all(0 < value < d.n_atoms + 1 for value in flows)
-        reference = all_pairs_quasi_flow(d, con, derivable, 0.25, 0.75)
+        flows.clear()
+        reference = all_pairs_quasi_flow(d, con, derivable, 1, 0)
+        assert set(finder._quasi_flow(d, con, derivable, 1, 0)) == set(reference)
+        reference = set(all_pairs_quasi_flow(d, con, derivable, 0.25, 0.75))
+        pool = set(finder._quasi_flow(d, con, derivable, 0.25, 0.75))
+        assert pool <= reference
+        assert all(k >= 1 for k, _ in reference - pool)
+        if pool != reference:
+            assert any(k == 0 and 0.25 * d.n_atoms <= len(s) <= 0.75 * d.n_atoms for k, s in pool)
+        # no flow runs whose cut is known: zero cuts and rigid pairs
+        assert all(0 < value < d.n_atoms + 1 for value in flows)
         if not reference:
             continue
         q = find_quasi_splitting(d)
@@ -650,12 +661,62 @@ def test_quasi_flow_candidates_match_the_all_pairs_loop(monkeypatch):
     assert compared > 150
 
 
+def reach_sets(d, con):
+    """Around each group, the least union of groups that holds it and the
+    groups of the body atoms, of rules headed in it, that are no assumption
+    or whose contrary heads a rule or is an assumption."""
+    derivable = {r.head for r in d.rules} | d.assumptions
+    out = set()
+    for group in con.groups:
+        reach, grown = frozenset(), group
+        while grown != reach:
+            reach = grown
+            grown = reach.union(*(
+                con.groups[con.group_of[b]] for r in d.rules if r.head in reach
+                for b in r.body if b not in d.assumptions or d.contrary[b] in derivable
+            ))
+        out.add(reach)
+    return out
+
+
+def test_quasi_flow_sides_cost_more_than_the_reaches(monkeypatch):
+    """Why ``_quasi_flow`` runs no max-flow when a set with k = 0 fits the
+    window: every max-flow side, as a union of groups, has k >= 1, and each
+    group's reach, a candidate with no max-flow run, has k = 0."""
+    sides = []
+
+    def recorded(network, source, sink):
+        value, side = max_flow(network, source, sink)
+        sides.append(side)
+        return value, side
+
+    monkeypatch.setattr(finder, "max_flow", recorded)
+    flowed = 0
+    for d in quasi_corpora():
+        con = pair_contracted(d)
+        m = len(con.groups)
+        if m <= 1:
+            continue
+        derivable = derivable_atoms(d)
+        sides.clear()
+        pool = set(finder._quasi_flow(d, con, derivable, 1, 0))
+        for side in sides:
+            atoms = frozenset().union(*(con.groups[g] for g in side if g < m))
+            assert len(vulnerabilities(d, atoms, derivable)) >= 1
+        for reach in reach_sets(d, con) - {d.atoms}:
+            assert vulnerabilities(d, reach, derivable) == frozenset()
+            assert (0, reach) in pool
+        flowed += len(sides)
+    assert flowed > 1000
+
+
 def test_quasi_finder_scans_no_unions_at_sixteen_groups(monkeypatch):
     """The SETAF images of the two-block stacks contract to 16 groups, where a
     scan of every union of groups counted the vulnerabilities of 65 534 sets.
-    The finder counts them for at most m cut sides per source group, and
-    for the balls around each group only when no set with k = 0 fits the
-    window; the prefix chains have k = 0 uncounted."""
+    There a set with k = 0 fits the window, so the finder counts none.  When
+    none fits, as in an empty window, it counts them for at most m cut sides
+    per source group and the balls around each group; the prefix chains and
+    the reaches have k = 0 uncounted."""
     stack = perfbench_stack()
     calls = 0
 
@@ -667,12 +728,15 @@ def test_quasi_finder_scans_no_unions_at_sixteen_groups(monkeypatch):
     monkeypatch.setattr(finder, "vulnerabilities", counted)
     for gen in range(4):
         d = setaf_to_aba(aba_to_setaf(stack(gen, 2, 8)))
-        m = len(pair_contracted(d).groups)
+        con = pair_contracted(d)
+        m = len(con.groups)
         assert m == 16
         calls = 0
         q = find_quasi_splitting(d)
-        assert 0 < calls <= m * m + 5 * m + 1
+        assert calls == 0
         assert q.k == 0
+        finder._quasi_flow(d, con, derivable_atoms(d), 1, 0)
+        assert 0 < calls <= m * m + 5 * m + 1
 
 
 def test_find_quasi_degenerate():

@@ -8,7 +8,7 @@ scans) deliberately avoid the fixpoint machinery they are checking.
 import hypothesis.strategies as st
 from hypothesis import given, settings
 
-from helpers import support_sets
+from helpers import support_sets, topo_prefixes
 from splitkit.aba import (
     enumerate_extensions as aba_extensions,
     minimal_supports,
@@ -136,7 +136,7 @@ def test_setaf_split_agrees_with_oracle(sf, sem):
 def test_aba_split_agrees_with_oracle(d, sem):
     from splitkit.split_aba import split_solve
 
-    for s in splitting_sets(d, prefixes_only=True):
+    for s in topo_prefixes(d):
         assert split_solve(d, s, sem) == aba_extensions(d, sem)
 
 

@@ -530,6 +530,23 @@ def test_param_split_with_assumption_contraries_equals_oracle():
     assert picked > 350 and checked > 10_000
 
 
+def test_quasi_solve_takes_the_semantics_first_and_covers_stable_only():
+    """``QuasiSplitting.solve`` takes its arguments in the order of the
+    ``AbaSplitting.solve`` it overrides: stable semantics answers as no
+    argument does, and any other semantics is refused, not taken for a
+    guard."""
+    from splitkit.errors import UnsupportedSemantics
+    from splitkit.finder import find_quasi_splitting
+
+    d = random_abaf(0, max_assumptions=6, max_rules=9)
+    q = find_quasi_splitting(d)
+    assert q.solve(Semantics.STB) == q.solve() == enumerate_extensions(d, Semantics.STB)
+    assert q.solve(Semantics.STB, 20) == q.solve(guard=20) == q.solve()
+    for sem in set(Semantics) - {Semantics.STB}:
+        with pytest.raises(UnsupportedSemantics):
+            q.solve(sem)
+
+
 def test_param_split_witness_recovery():
     d = abaf_vuln()
     q = make_quasi_splitting(d, s_q(d))
