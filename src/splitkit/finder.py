@@ -4,12 +4,13 @@ Splitting sets of an ABA framework are exactly the predecessor-closed vertex
 sets of its dependency graph (rule edges body -> head, plus a symmetric pair
 of edges between each assumption and its contrary), and likewise for SETAF
 bottoms on the primal graph.  Condensing the strongly connected components
-makes those sets the order ideals of a DAG.  Both finders score, by how
-evenly they cut the framework, only the prefixes of five topological orders
-of the condensation picked by SCC size (``graphs.prefix_ideals``): one ideal
-per SCC and order, however many ideals the DAG has, so nothing is walked or
-truncated.  ``splitting_sets`` and ``setaf_splitting_bottoms`` list every
-ideal, for sweeps over small frameworks.
+makes those sets the order ideals of a DAG.  Both finders take the graph as
+successor lists straight from the rules or attacks, score by how evenly
+they cut the framework only the prefixes of five topological orders of the
+condensation picked by SCC size (``graphs.balanced_prefix``), one ideal per
+SCC and order, so nothing is walked or truncated, and check the winner.
+``splitting_sets`` and ``setaf_splitting_bottoms`` list every ideal, for
+sweeps over small frameworks.
 
 Quasi-splittings drop the requirement that assumption body atoms stay below
 their rule heads.  Finding one with few vulnerabilities is a minimum-cut
@@ -26,48 +27,36 @@ set, so it can miss the least k that the balance window allows.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from splitkit.aba import Abaf
-from splitkit.errors import DegenerateSplit, InvalidBalance
-from splitkit.graphs import (
-    Digraph,
-    balls,
-    condense,
-    flow_network,
-    max_flow,
-    order_ideals,
-    prefix_ideals,
-)
-from splitkit.semantics import unmask
+from splitkit.errors import DegenerateSplit, HeadInBodyOut, InvalidBalance, InvalidSplit, NotAtomClosed
+from splitkit.graphs import Digraph, balanced_prefix, balls, condense, flow_network, max_flow, order_ideals
+from splitkit.semantics import bits, to_mask
 from splitkit.setaf import Setaf, primal_graph
-from splitkit.split_aba import (
-    QuasiSplitting, derivable_atoms, make_quasi_splitting, make_splitting, vulnerabilities,
-)
-from splitkit.split_setaf import make_splitting as make_setaf_splitting
+from splitkit.split_aba import QuasiSplitting, derivable_atoms, make_quasi_splitting, vulnerabilities
+
+
+def _dependency_successors(abaf: Abaf) -> list[list[int]]:
+    succ: list[list[int]] = [[] for _ in abaf.names]
+    for r in abaf.rules:
+        for b in r.body:
+            succ[b].append(r.head)
+    for a, c in abaf.contrary.items():
+        succ[a].append(c)
+        succ[c].append(a)
+    return succ
 
 
 def dependency_graph(abaf: Abaf) -> Digraph:
-    edges = set()
-    for r in abaf.rules:
-        for b in r.body:
-            edges.add((b, r.head))
-    for a in abaf.assumptions:
-        edges.add((a, abaf.contrary[a]))
-        edges.add((abaf.contrary[a], a))
-    return Digraph(abaf.n_atoms, frozenset(edges), abaf.names)
-
-
-def _nontrivial(masks: list[int], total: int) -> list[int]:
-    full = (1 << total) - 1
-    return [m for m in masks if m and m != full]
+    edges = frozenset((u, v) for u, vs in enumerate(_dependency_successors(abaf)) for v in vs)
+    return Digraph(abaf.n_atoms, edges, abaf.names)
 
 
 def _candidates(masks: list[int], total: int, nontrivial: bool) -> list[frozenset[int]]:
     if nontrivial:
-        masks = _nontrivial(masks, total)
-    sets = (unmask(m, range(total)) for m in masks)
-    return sorted(sets, key=lambda s: (len(s), tuple(sorted(s))))
+        masks = [m for m in masks if m and m != (1 << total) - 1]
+    return sorted(map(bits, masks), key=lambda s: (len(s), tuple(sorted(s))))
 
 
 def splitting_sets(abaf: Abaf, nontrivial: bool = False) -> list[frozenset[int]]:
@@ -93,54 +82,41 @@ def _check_target(target: float) -> None:
 def balanced_candidates(abaf: Abaf, target: float = 0.5) -> list[frozenset[int]]:
     """Nontrivial candidate splitting sets, best balanced first."""
     _check_target(target)
-    cands = splitting_sets(abaf, nontrivial=True)
-    return sorted(
-        cands,
-        key=lambda s: (_score(len(s), abaf.n_atoms, target), len(s), tuple(sorted(s))),
-    )
+    return sorted(splitting_sets(abaf, nontrivial=True),
+                  key=lambda s: (_score(len(s), abaf.n_atoms, target), len(s), tuple(sorted(s))))
 
 
-def _most_balanced(ideals: list[int], total: int, target: float) -> frozenset[int]:
-    """The best balanced of the nontrivial ``ideals``, ranked as
-    ``balanced_candidates`` ranks sets.
-
-    The score depends on the size alone, so the best size is found from the
-    bit counts.  Of two sets of one size, the one with the lower sorted tuple
-    holds the lowest element of their symmetric difference, so the tie-break
-    runs on the masks and only the winner becomes a set.
-    """
-    masks = _nontrivial(ideals, total)
-    if not masks:
-        raise DegenerateSplit("only the trivial splittings exist")
-    sizes = [m.bit_count() for m in masks]
-    best = min(set(sizes), key=lambda k: (_score(k, total, target), k))
-    tied = [m for k, m in zip(sizes, masks) if k == best]
-    win = tied[0]
-    for m in tied:
-        if m & (m ^ win) & -(m ^ win):
-            win = m
-    return unmask(win, range(total))
-
-
-def _chain_cut(fw, total: int, graph, validate, target: float) -> frozenset[int]:
-    """The best balanced nontrivial prefix of the SCC-size chains of
-    ``graph(fw)``, checked by ``validate``.  Fewer than two items leave only
-    the trivial splittings, so then no graph is built."""
+def _best_prefix(succ: list[list[int]], target: float) -> frozenset[int]:
+    """``balanced_prefix`` with a bit per vertex, ranked as ``balanced_candidates`` ranks sets."""
     _check_target(target)
-    if total < 2:
+    n = len(succ)
+    best = balanced_prefix(succ, [1 << v for v in range(n)], target * n) if n > 1 else 0
+    if not best:
         raise DegenerateSplit("only the trivial splittings exist")
-    cond = condense(graph(fw))
-    best = _most_balanced(prefix_ideals(cond, [len(c) for c in cond.sccs]), total, target)
-    validate(fw, best)  # never trust the construction unvalidated
-    return best
+    return bits(best)
 
 
 def find_balanced_splitting(abaf: Abaf, target: float = 0.5) -> frozenset[int]:
-    return _chain_cut(abaf, abaf.n_atoms, dependency_graph, make_splitting, target)
+    s = _best_prefix(_dependency_successors(abaf), target)
+    for a, c in abaf.contrary.items():  # never trust the construction unchecked
+        if (a in s) != (c in s):
+            raise NotAtomClosed(abaf.names[c if a in s else a])
+    for r in abaf.rules:
+        if r.head in s and not r.body <= s:
+            raise HeadInBodyOut(r)
+    return s
 
 
 def find_setaf_splitting(sf: Setaf, target: float = 0.5) -> frozenset[int]:
-    return _chain_cut(sf, sf.n_args, primal_graph, make_setaf_splitting, target)
+    succ: list[list[int]] = [[] for _ in sf.names]
+    for tail, head in sf.attacks:
+        for t in tail:
+            succ[t].append(head)
+    a1 = _best_prefix(succ, target)
+    for attack in sf.attacks:  # never trust the construction unchecked
+        if attack[1] in a1 and not attack[0] <= a1:
+            raise InvalidSplit(attack)
+    return a1
 
 
 # -- quasi-splitting discovery ------------------------------------------------
@@ -228,8 +204,9 @@ def _quasi_flow(
 
     Stage 0 has k = 0 by construction, so nothing is counted.  The positive
     links, turned round, make a graph whose order ideals are exactly the
-    sets with k = 0; of its ``graphs.prefix_ideals``, weighted by atoms, the
-    ranking can only choose the best balanced.  Each group's reach, the last
+    sets with k = 0; of its prefix chains, with each group's atoms as its
+    mask, the ranking can only choose the best balanced, which
+    ``graphs.balanced_prefix`` finds.  Each group's reach, the last
     of the ``graphs.balls`` grown around it over the positive links, is
     closed under them.
 
@@ -266,20 +243,22 @@ def _quasi_flow(
                 below.add((gb, gh))
 
     def adjacency(pairs) -> list[list[int]]:
-        return Digraph(m, frozenset(pairs)).successors()
+        succ: list[list[int]] = [[] for _ in range(m)]
+        for u, v in pairs:
+            succ[u].append(v)
+        return succ
 
     def atoms(mask: int) -> frozenset[int]:
         return frozenset().union(*[g for gi, g in enumerate(con.groups) if mask >> gi & 1])
 
     rigid = {(u, v) for u, v in arcs if max(u, v) < m}  # the rigid arcs between groups
     down, rigid_down = adjacency((gh, gb) for gb, gh in below), adjacency(rigid)
+    up = adjacency(below)
     around = [balls(down, rigid_down, gs) for gs in range(m)]
     full = (1 << m) - 1
     reaches = {grown[-1] for grown in around} - {full}
-    cond = condense(Digraph(m, frozenset(below)))
-    members = tuple(frozenset().union(*[con.groups[g] for g in scc]) for scc in cond.sccs)
-    chains = prefix_ideals(replace(cond, sccs=members), [len(c) for c in members])
-    out = [(0, _most_balanced(chains, abaf.n_atoms, (lo + hi) / 2))] if len(members) > 1 else []
+    chain = balanced_prefix(up, [to_mask(g) for g in con.groups], (lo + hi) / 2 * abaf.n_atoms)
+    out = [(0, bits(chain))] if chain else []
     out += [(0, atoms(mask)) for mask in reaches]
     if any(lo * abaf.n_atoms <= len(s) <= hi * abaf.n_atoms for _, s in out):
         return out  # no set beats k = 0 in the window
@@ -290,7 +269,7 @@ def _quasi_flow(
         if grown[-1] >> gt & 1 and not grown[0] >> gt & 1
     }
     found.update(ball for grown in around for ball in grown)
-    up, rigid_up = adjacency(below), adjacency((v, u) for u, v in rigid)
+    rigid_up = adjacency((v, u) for u, v in rigid)
     found.update(full ^ ball for gs in range(m) for ball in balls(up, rigid_up, gs))
     sets = map(atoms, found - reaches - {0, full})
     return out + [(len(vulnerabilities(abaf, s, derivable)), s) for s in sets]

@@ -1,11 +1,11 @@
-"""Directed-graph utilities: SCC condensation, order ideals and prefix chains, balls, max-flow, DOT."""
+"""Directed-graph utilities: SCC condensation, order ideals, balanced prefixes, balls, max-flow, DOT."""
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
-from typing import Iterable, Sequence
+from typing import Sequence
 
 
 @dataclass(eq=True)
@@ -27,46 +27,49 @@ class Digraph:
 
 
 def tarjan_scc(n: int, successors: Sequence[Sequence[int]]) -> list[list[int]]:
-    """Strongly connected components, iterative so deep graphs cannot blow the stack."""
+    """Strongly connected components, iterative so deep graphs cannot blow the
+    stack.  An emitted vertex gets the index ``n``, so it lowers no ``low``."""
     index = [-1] * n
     low = [0] * n
-    on_stack = [False] * n
     stack: list[int] = []
     counter = 0
     sccs: list[list[int]] = []
-
     for root in range(n):
-        if index[root] != -1:
+        if index[root] >= 0:
             continue
-        work = [(root, 0)]
+        if not successors[root]:  # a sink is an SCC of its own
+            index[root] = n
+            sccs.append([root])
+            continue
+        index[root] = low[root] = counter
+        counter += 1
+        stack.append(root)
+        work = [(root, iter(successors[root]))]
         while work:
-            v, pi = work[-1]
-            if pi == 0:
-                index[v] = low[v] = counter
-                counter += 1
-                stack.append(v)
-                on_stack[v] = True
-            advanced = False
-            for i in range(pi, len(successors[v])):
-                w = successors[v][i]
-                if index[w] == -1:
-                    work[-1] = (v, i + 1)
-                    work.append((w, 0))
-                    advanced = True
+            v, todo = work[-1]
+            for w in todo:
+                if index[w] < 0:
+                    if not successors[w]:  # a sink is an SCC of its own
+                        index[w] = n
+                        sccs.append([w])
+                        continue
+                    index[w] = low[w] = counter
+                    counter += 1
+                    stack.append(w)
+                    work.append((w, iter(successors[w])))
                     break
-                if on_stack[w]:
-                    low[v] = min(low[v], index[w])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[v])
-            if low[v] == index[v]:
+                if index[w] < low[v]:
+                    low[v] = index[w]
+            else:
+                work.pop()
+                if low[v] < index[v]:  # v's SCC holds its parent
+                    u = work[-1][0]
+                    low[u] = min(low[u], low[v])
+                    continue
                 comp = []
                 while True:
                     w = stack.pop()
-                    on_stack[w] = False
+                    index[w] = n
                     comp.append(w)
                     if w == v:
                         break
@@ -109,7 +112,7 @@ def order_ideals(cond: Condensation) -> list[int]:
     that holds the next SCC's predecessors is extended by it.  There can be
     2^n ideals, so this is for small graphs.
     """
-    members = [_mask(c) for c in cond.sccs]
+    members = [sum(1 << v for v in c) for c in cond.sccs]
     need = [0] * len(members)  # the vertices of each SCC's predecessors
     for u, v in cond.dag_edges:
         need[v] |= members[u]
@@ -119,64 +122,69 @@ def order_ideals(cond: Condensation) -> list[int]:
     return out
 
 
-def prefix_ideals(cond: Condensation, weight: Sequence[int]) -> list[int]:
-    """The prefixes of five topological orders of the condensation, weighted
-    by ``weight`` per SCC, each as a bitmask over the original vertices, the
-    empty ideal first.
+def balanced_prefix(succ: Sequence[Sequence[int]], masks: Sequence[int], goal: float) -> int:
+    """The best balanced nontrivial prefix of five topological orders of the
+    condensation of ``succ``, as the union of its vertices' ``masks``; 0 if
+    the digraph has fewer than two SCCs.
 
-    The orders are Kahn's algorithm from the sources taking the lightest
-    ready SCC first, the heaviest first and the lowest id first; and the
-    reverse of peeling the sinks lightest first and heaviest first, whose
-    prefixes are the complements of up-sets.  Ties go to the lowest id.  Each
-    order gives one ideal per SCC, however many ideals the DAG has.
+    SCC ids go by least vertex; an SCC weighs the bits of its mask.  A prefix
+    of weight ``w`` scores ``(abs(w - goal), w)``, least first, then the one
+    holding the lowest bit where two differ (the lower sorted tuple).  The
+    orders are Kahn's from the sources and, reversed, from the sinks (the
+    complements of up-sets), taking the ready SCC of least key first.  A key
+    leaves its SCC as the remainder mod the SCC count: lowest id, lightest
+    and heaviest first.  With equal weights only the first runs, from both
+    ends; else the sinks are peeled by the last two.  A run stops at the
+    goal, since each later prefix lies further from it.
     """
-    members = [_mask(c) for c in cond.sccs]
-    n = len(members)
-    succ: list[list[int]] = [[] for _ in range(n)]
-    pred: list[list[int]] = [[] for _ in range(n)]
-    for u, v in cond.dag_edges:
-        succ[u].append(v)
-        pred[v].append(u)
-    # A key is unique and leaves its SCC as the remainder mod n: lowest id,
-    # then lightest and heaviest first.  With equal weights those two orders
-    # are the lowest-id one, so they are left out, and the sinks are peeled
-    # by the last two keys, or by the one left.
+    comps = sorted(tarjan_scc(len(succ), succ), key=min)
+    n = len(comps)
+    if n < 2:
+        return 0
+    member = [0] * len(succ)
+    mask = [0] * n
+    for i, comp in enumerate(comps):
+        for v in comp:
+            member[v] = i
+            mask[i] |= masks[v]
+    down: list[list[int]] = [[] for _ in comps]
+    up: list[list[int]] = [[] for _ in comps]
+    for u, vs in enumerate(succ):
+        mu = member[u]
+        for v in vs:
+            if mu != member[v]:
+                down[mu].append(member[v])
+                up[member[v]].append(mu)
+    weight = list(map(int.bit_count, mask))
     keys: list[Sequence[int]] = [range(n)]
-    top = max(weight, default=0)
-    if min(weight, default=0) < top:
-        keys.append([w * n + v for v, w in enumerate(weight)])
-        keys.append([(top - w) * n + v for v, w in enumerate(weight)])
-    orders = [_kahn(succ, pred, key) for key in keys]
-    orders += [_kahn(pred, succ, key)[::-1] for key in keys[-2:]]
-    out = [0]
-    for order in orders:
-        chosen = 0
-        for v in order:
-            chosen |= members[v]
-            out.append(chosen)
-    return out
-
-
-def _kahn(succ: list[list[int]], pred: list[list[int]], key: Sequence[int]) -> list[int]:
-    """The topological order of the DAG ``succ`` that takes the ready vertex
-    of least ``key`` first."""
-    n = len(succ)
-    waiting = [len(p) for p in pred]
-    ready = [key[v] for v in range(n) if not waiting[v]]
-    heapify(ready)
-    order = []
-    while ready:
-        v = heappop(ready) % n
-        order.append(v)
-        for w in succ[v]:
-            waiting[w] -= 1
-            if not waiting[w]:
-                heappush(ready, key[w])
-    return order
-
-
-def _mask(vertices: Iterable[int]) -> int:
-    return sum(1 << v for v in vertices)
+    top = max(weight)
+    if min(weight) < top:
+        keys += [w * n + v for v, w in enumerate(weight)], [(top - w) * n + v for v, w in enumerate(weight)]
+    # from each end: the arcs onwards, the arcs each SCC waits for, the SCCs
+    # ready at once, the mask and weight before the first step, and its sign
+    ends = [(down, list(map(len, up)), [v for v in range(n) if not up[v]], 0, 0, 1),
+            (up, list(map(len, down)), [v for v in range(n) if not down[v]], sum(mask), sum(weight), -1)]
+    best, size_of_best, win = float("inf"), 0, 0
+    for run, key in enumerate(keys + keys[-2:]):
+        step, waiting, ready, chosen, size, sign = ends[run >= len(keys)]
+        waiting = waiting[:]
+        ready = list(map(key.__getitem__, ready))
+        heapify(ready)
+        for _ in range(n - 1):  # the last prefix holds every SCC
+            v = heappop(ready) % n
+            chosen ^= mask[v]
+            size += sign * weight[v]
+            score = abs(size - goal)  # least (score, size), then the lowest differing bit
+            if score < best or score == best and (size < size_of_best or size == size_of_best
+                                                  and chosen & (chosen ^ win) & -(chosen ^ win)):
+                best, size_of_best, win = score, size, chosen
+            if sign * (size - goal) >= 0:
+                break
+            for w in step[v]:
+                waiting[w] -= 1
+                if not waiting[w]:
+                    heappush(ready, key[w])
+    return win
 
 
 def balls(step: Sequence[Sequence[int]], close: Sequence[Sequence[int]], root: int) -> list[int]:

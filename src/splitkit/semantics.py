@@ -169,11 +169,21 @@ def _least_fixpoint(n: int, attacks: Sequence[tuple[int, int]]) -> int:
 
 
 def to_mask(items: Iterable[int]) -> int:
-    """The mask with bit i set for each item i; ``unmask(mask, range(n))`` inverts it."""
+    """The mask with bit i set for each item i; ``bits`` inverts it."""
     mask = 0
     for i in items:
         mask |= 1 << i
     return mask
+
+
+def bits(mask: int) -> frozenset[int]:
+    """The positions of the set bits of ``mask``."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return frozenset(out)
 
 
 def unmask(mask: int, order: Sequence) -> frozenset:

@@ -15,11 +15,11 @@ from splitkit.errors import ValidationError
 from splitkit.graphs import Digraph
 from splitkit.semantics import (
     Semantics,
+    bits,
     canonical_sets,
     check_guard,
     compute_families,
     to_mask,
-    unmask,
 )
 
 Attack = tuple[frozenset[int], int]
@@ -30,6 +30,7 @@ class Setaf:
     names: tuple[str, ...]
     attacks: tuple[Attack, ...]
 
+    args: frozenset[int] = field(init=False, compare=False, repr=False)
     _cache: dict = field(init=False, compare=False, repr=False, default_factory=dict)
 
     def __post_init__(self):
@@ -47,6 +48,7 @@ class Setaf:
                 seen.add((tail, head))
                 deduped.append((tail, head))
         self.attacks = tuple(deduped)
+        self.args = frozenset(range(n))
 
     def __hash__(self) -> int:
         """Agrees with ``==``, so equal frameworks share a dict entry."""
@@ -55,10 +57,6 @@ class Setaf:
     @property
     def n_args(self) -> int:
         return len(self.names)
-
-    @property
-    def args(self) -> frozenset[int]:
-        return frozenset(range(len(self.names)))
 
     def arg_id(self, name: str) -> int:
         return self.names.index(name)
@@ -131,7 +129,7 @@ def enumerate_extensions(
         if "tails" not in sf._cache:
             sf._cache["tails"] = [(to_mask(tail), head) for tail, head in sf.attacks]
         masks = compute_families(sf.n_args, sf._cache["tails"], semantics)
-        sf._cache[semantics] = canonical_sets(unmask(m, range(sf.n_args)) for m in masks)
+        sf._cache[semantics] = canonical_sets(map(bits, masks))
     return sf._cache[semantics]
 
 

@@ -163,6 +163,11 @@ def _repo_module(name: str, path: str):
     return module
 
 
+def perfbench_module(name: str):
+    """The module ``perfbench/<name>.py``, loaded afresh."""
+    return _repo_module(name, f"perfbench/{name}.py")
+
+
 def perfbench_stack():
     """``stack(gen, blocks, block)`` of ``perfbench/workloads.py``: stacked blocks."""
-    return _repo_module("workloads", "perfbench/workloads.py").stack
+    return perfbench_module("workloads").stack

@@ -6,6 +6,7 @@ from helpers import (
     abaf7, abaf_chain3, abaf_vuln, assumption_contrary_abaf, cyclic_abaf, ids, nm, perfbench_stack,
     setaf7,
 )
+from reference import prefix_ideals
 from splitkit import finder
 from splitkit.aba import Abaf, Rule
 from splitkit.errors import DegenerateSplit, NonAssumptionBodyOut, NotAtomClosed, ValidationError
@@ -20,7 +21,7 @@ from splitkit.finder import (
     splitting_sets,
 )
 from splitkit.generate import random_abaf, random_setaf
-from splitkit.graphs import Digraph, condense, flow_network, max_flow, order_ideals, prefix_ideals
+from splitkit.graphs import Digraph, condense, flow_network, max_flow, order_ideals
 from splitkit.instantiate import aba_to_setaf, setaf_to_aba
 from splitkit.semantics import Semantics
 from splitkit.setaf import Setaf
