@@ -17,7 +17,10 @@ from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Optional, Sequence
 
 from splitkit.errors import NonFlatError, NotAtomClosed, ValidationError
-from splitkit.semantics import Semantics, canonical_sets, check_guard, compute_families, unmask
+from splitkit.semantics import (
+    DEFENDING, Semantics, bits, canonical_sets, check_guard, compute_families, item_columns,
+    select_masks, to_mask, unmask,
+)
 
 MAX_SUPPORTS_PER_ATOM = 200_000
 
@@ -31,6 +34,12 @@ class Rule:
 
     def __post_init__(self):
         object.__setattr__(self, "body", frozenset(self.body))
+        # the value the generated hash would give, computed once: every top
+        # hashes its rules again
+        object.__setattr__(self, "_hash", hash((self.head, self.body)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
 
 @dataclass(eq=True)
@@ -212,6 +221,15 @@ def theory_closure(
     return frozenset(derived)
 
 
+def _users(abaf: Abaf) -> list[list[int]]:
+    """Per atom, the indexes of the rules whose body holds it."""
+    users: list[list[int]] = [[] for _ in range(abaf.n_atoms)]
+    for i, r in enumerate(abaf.rules):
+        for b in r.body:
+            users[b].append(i)
+    return users
+
+
 def _support_fixpoint(abaf: Abaf, minimal: bool) -> dict[int, tuple[int, ...]]:
     """Per-atom deriving assumption sets as masks over atom ids (bit a is
     assumption a), each atom's in increasing order.
@@ -224,10 +242,7 @@ def _support_fixpoint(abaf: Abaf, minimal: bool) -> dict[int, tuple[int, ...]]:
     for a in abaf.assumptions:
         sup[a].add(1 << a)
     rules = abaf.rules
-    users: list[list[int]] = [[] for _ in range(abaf.n_atoms)]
-    for i, r in enumerate(rules):
-        for b in r.body:
-            users[b].append(i)
+    users = _users(abaf)
 
     def add(atom: int, mask: int) -> bool:
         bucket = sup[atom]
@@ -337,34 +352,89 @@ def enumerate_extensions(
 ) -> tuple[frozenset[int], ...]:
     """The family of one semantics, as assumption sets in canonical order, cached.
 
-    The sweep runs over the assumptions in increasing id order, and its
-    attack and closure lists come from the ``minimal_supports`` masks, with
-    each atom bit moved to that assumption's position; only the returned
-    family becomes sets.  On a non-flat framework a stable extension must
-    also be closed: it holds every assumption it derives.
+    The sweep runs over the assumptions in increasing id order.  Grounded
+    iterates the defence function on attacks read off ``minimal_supports``;
+    the others test all 2^n subsets at once on the rules (``_closure_sweep``),
+    with one column per derived atom and, for adm, com and prf, a second
+    closure.  Only the returned family becomes sets.  On a non-flat
+    framework a stable extension must also be closed: it holds every
+    assumption it derives.
     """
     require_flat(abaf, semantics)
     if semantics not in abaf._cache:
         check_guard(len(abaf.assumptions), guard)
         order = sorted(abaf.assumptions)
-        position = {1 << a: 1 << i for i, a in enumerate(order)}
-
-        def packed(mask: int) -> int:
-            out = 0
-            while mask:
-                low = mask & -mask
-                out |= position[low]
-                mask ^= low
-            return out
-
-        sup = minimal_supports(abaf)
-        attacks = [(packed(t), i) for i, a in enumerate(order) for t in sup[abaf.contrary[a]]]
-        closure = []
-        if semantics is Semantics.STB and not abaf.flat:
-            closure = [(packed(t), i) for i, a in enumerate(order) for t in sup[a]]
-        masks = compute_families(len(order), attacks, semantics, closure)
+        if semantics is Semantics.GRD:
+            position = {a: i for i, a in enumerate(order)}
+            sup = minimal_supports(abaf)
+            attacks = [(to_mask(map(position.__getitem__, bits(t))), i)
+                       for i, a in enumerate(order) for t in sup[abaf.contrary[a]]]
+            masks = compute_families(len(order), attacks, semantics)
+        else:
+            masks = _closure_sweep(abaf, order, semantics)
         abaf._cache[semantics] = canonical_sets(unmask(m, order) for m in masks)
     return abaf._cache[semantics]
+
+
+def _closure_sweep(abaf: Abaf, order: list[int], semantics: Semantics) -> list[int]:
+    """``compute_families`` on the rules.  A subset attacks assumption a
+    when it derives a's contrary, and defends a when the assumptions it
+    leaves unattacked cannot: the closure seeded with the holds columns
+    gives the attacked columns, and the complement closure seeded with
+    those gives the defended ones.  ``select_masks`` does the rest."""
+    users = _users(abaf)
+    holds = item_columns(len(order))
+    full = (1 << (1 << len(order))) - 1
+    col = _closure_columns(abaf, users, zip(order, holds), full)
+    attacked = [col[abaf.contrary[a]] for a in order]
+    defended = None
+    if semantics in DEFENDING:
+        refuted = _closure_columns(abaf, users, zip(order, attacked), full, complement=True)
+        defended = [refuted[abaf.contrary[a]] for a in order]
+    derived = () if abaf.flat else ((col[a], i) for i, a in enumerate(order))
+    return select_masks(semantics, holds, attacked, defended, derived)
+
+
+def _closure_columns(
+    abaf: Abaf,
+    users: list[list[int]],
+    seed: Iterable[tuple[int, int]],
+    full: int,
+    complement: bool = False,
+) -> list[int]:
+    """Per atom, the column of the subsets that derive it from the seed's
+    (assumption, column) pairs: ``col[head] |= AND(col[b] for b in body)``
+    until nothing grows, a rule applied again only after one of its body
+    atoms (``users``) has grown: the Horn fixpoint of Dowling and Gallier
+    (1984) on columns.  With ``complement`` each column is the
+    complement, seeded with the subsets under which each assumption is not
+    available, every other atom at ``full``, and ``col[head] &= OR(...)``:
+    no column is ever negated.
+    """
+    col = [full if complement else 0] * abaf.n_atoms
+    for a, c in seed:
+        col[a] = c
+    rules = abaf.rules
+    pending: Iterable[int] = range(len(rules))
+    while pending:
+        moved = set()
+        for i in pending:
+            r = rules[i]
+            if complement:
+                c = 0
+                for b in r.body:
+                    c |= col[b]
+                new = col[r.head] & c
+            else:
+                c = full
+                for b in r.body:
+                    c &= col[b]
+                new = col[r.head] | c
+            if new != col[r.head]:
+                col[r.head] = new
+                moved.add(r.head)
+        pending = sorted({i for atom in moved for i in users[atom]})
+    return col
 
 
 def check_extension(

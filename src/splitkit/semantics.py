@@ -1,27 +1,32 @@
 """Semantics names plus the shared brute-force extension engine.
 
-Both the ABA and the SETAF side reduce extension enumeration to the same
-combinatorial core: a set of n indexed items and a list of collective attacks
-(tail mask, head index).  Subsets are bitmasks, and ``compute_families``
-tests all 2^n of them at once: a *column* is one int of 2^n bits whose bit m
-says something about subset m, so a check that a per-subset loop would make
-2^n times is a few big-int ANDs and ORs.  Preferred comes from a superset-sum
-("zeta") transform of the complete column; grounded is a fixpoint and needs
-no columns.  A call holds about 3n columns, about 3n * 2^n bits (7.5 MiB at
-n = 20).  Each call computes only the family that was asked for.  The
-enumeration guard (default 20, overridable through the ``SPLITKIT_GUARD``
-environment variable) keeps accidental blowups out.
+Both oracles test all 2^n subsets of n items at once: a *column* is one int
+of 2^n bits whose bit m says something about subset m, so a check that a
+per-subset loop would make 2^n times is a few big-int ANDs and ORs.  Each
+side builds, per item, the columns of the subsets that hold it, attack it
+and defend it, and ``select_masks`` is the one block of conditions on them
+for both.  The SETAF side (``compute_families``) derives the columns from a
+list of collective attacks (tail mask, head index) and holds about 3n
+columns, 3n * 2^n bits (7.5 MiB at n = 20).  The ABA side derives them by a
+Horn closure on its rules (``aba.enumerate_extensions``) and holds one
+column per derived atom, with a second closure for adm, com and prf.
+Preferred comes from a superset-sum ("zeta") transform of the complete
+column; grounded is a fixpoint and needs no columns.  Each call computes
+only the family that was asked for.  The enumeration guard (default 20,
+overridable through the ``SPLITKIT_GUARD`` environment variable) keeps
+accidental blowups out.
 
 ``split_union`` is the one splitting schema that the ABA, quasi and SETAF
-splittings share: solve the bottom, build one top per bottom extension,
-solve each distinct top once, and take the union of the combined results.
+splittings share: solve the bottom, key the top of each bottom extension,
+build and solve each distinct top once, and take the union of the combined
+results.
 """
 
 from __future__ import annotations
 
 import os
 from enum import Enum
-from typing import Callable, Iterable, Sequence, TypeVar
+from typing import Callable, Hashable, Iterable, Optional, Sequence, TypeVar
 
 from splitkit.errors import GuardExceeded, InvalidGuard, UnsupportedSemantics
 
@@ -35,6 +40,10 @@ class Semantics(Enum):
     GRD = "grd"
     PREF = "prf"
     STB = "stb"
+
+
+# the semantics whose conditions read the defended columns
+DEFENDING = (Semantics.ADM, Semantics.COM, Semantics.PREF)
 
 
 def resolve_guard(guard: int | str | None) -> int:
@@ -73,19 +82,16 @@ def compute_families(
     The others test all 2^n subsets at once: bit m of a column is about
     subset m.  From the columns of the subsets holding each item come, per
     item, the columns of the subsets attacking it and (adm, com, prf) of
-    those defending it, and the semantics' conditions are ANDed together.
-    Preferred drops each complete subset with a complete strict superset,
-    found by a superset-sum transform of the complete column.  ``closure``
-    lists derivations (tail mask, derived item) and makes ``stb`` the
-    closed-set stable variant; for flat inputs it is left empty.  Attacks
-    stream into the per-item columns, so about 3n columns of 2^n bits are
-    alive at once.
+    those defending it, and ``select_masks`` applies the semantics'
+    conditions to them.  ``closure`` lists derivations (tail mask, derived
+    item) and makes ``stb`` the closed-set stable variant; for flat inputs
+    it is left empty.  Attacks stream into the per-item columns, so about 3n
+    columns of 2^n bits are alive at once.
     """
     if semantics is Semantics.GRD:
         return [_least_fixpoint(n, attacks)]
-    size = 1 << n
-    full = (1 << size) - 1
-    holds = [_item_column(i, size) for i in range(n)]
+    holds = item_columns(n)
+    full = (1 << (1 << n)) - 1
 
     def fits(tail: int) -> int:
         col = full
@@ -98,15 +104,8 @@ def compute_families(
     attacked = [0] * n
     for tail, head in attacks:
         attacked[head] |= fits(tail)
-    ok = full
-    for i in range(n):
-        ok &= ~(attacked[i] & holds[i])
-    if semantics is Semantics.STB:
-        for i in range(n):
-            ok &= holds[i] | attacked[i]
-        for tail, item in closure:
-            ok &= ~(fits(tail) & ~holds[item])
-    elif semantics is not Semantics.CF:
+    defended = None
+    if semantics in DEFENDING:
         defended = [full] * n
         for tail, head in attacks:
             counter = 0
@@ -115,6 +114,55 @@ def compute_families(
                 counter |= attacked[low.bit_length() - 1]
                 tail ^= low
             defended[head] &= counter
+    return select_masks(semantics, holds, attacked, defended,
+                        ((fits(tail), item) for tail, item in closure))
+
+
+def item_columns(n: int) -> list[int]:
+    """Per item i < n, the column of the subsets of n items that hold it.
+
+    Each is built by doubling one period, never by dividing: CPython's
+    big-int division is superlinear in the width of the column.
+    """
+    out = []
+    for i in range(n):
+        width = 1 << i
+        col = ((1 << width) - 1) << width
+        width <<= 1
+        while width < 1 << n:
+            col |= col << width
+            width <<= 1
+        out.append(col)
+    return out
+
+
+def select_masks(
+    semantics: Semantics,
+    holds: Sequence[int],
+    attacked: Sequence[int],
+    defended: Optional[Sequence[int]] = None,
+    derived: Iterable[tuple[int, int]] = (),
+) -> list[int]:
+    """The masks, in increasing order, of the subsets that meet the
+    conditions of ``semantics`` (anything but grounded), given per item the
+    columns of the subsets that hold it, attack it and, for adm, com and
+    prf, defend it.  ``derived`` lists (column, item) pairs, the subsets of
+    the column deriving the item: a stable subset must hold what it derives.
+
+    This block is the one place of the conditions, whichever side built the
+    columns.  Preferred drops each complete subset with a complete strict
+    superset, found by a superset-sum transform of the complete column.
+    """
+    n = len(holds)
+    ok = (1 << (1 << n)) - 1
+    for i in range(n):
+        ok &= ~(attacked[i] & holds[i])
+    if semantics is Semantics.STB:
+        for i in range(n):
+            ok &= holds[i] | attacked[i]
+        for col, item in derived:
+            ok &= ~(col & ~holds[item])
+    elif semantics is not Semantics.CF:
         for i in range(n):
             ok &= ~(holds[i] & ~defended[i])
         if semantics is not Semantics.ADM:
@@ -135,21 +183,6 @@ def compute_families(
         out.append(m)
         m = bits.find("1", m + 1)
     return out
-
-
-def _item_column(item: int, size: int) -> int:
-    """The column of the subsets of ``size`` masks that contain ``item``.
-
-    Built by doubling one period, never by dividing: CPython's big-int
-    division is superlinear in the width of the column.
-    """
-    width = 1 << item
-    col = ((1 << width) - 1) << width
-    width <<= 1
-    while width < size:
-        col |= col << width
-        width <<= 1
-    return col
 
 
 def _least_fixpoint(n: int, attacks: Sequence[tuple[int, int]]) -> int:
@@ -219,29 +252,36 @@ SubSolver = Callable[[F, Semantics], Sequence[frozenset[int]]]
 
 SPLIT_SEMANTICS = (Semantics.STB, Semantics.ADM, Semantics.COM, Semantics.PREF, Semantics.GRD)
 
-# Builds the top for one bottom extension, with the map lifting each top
-# extension, joined with that bottom extension, into the base's ids.
-TopBuilder = Callable[[frozenset[int]], tuple[F, Callable[[frozenset[int]], frozenset[int]]]]
+# Gives, for one bottom extension, the key of the top it leaves and the map
+# lifting each top extension, joined with that bottom extension, into the
+# base's ids.
+TopKey = Callable[[frozenset[int]], tuple[Hashable, Callable[[frozenset[int]], frozenset[int]]]]
 
 
 def split_union(
-    semantics: Semantics, bottom: F, top_of: TopBuilder[F], solver: SubSolver[F]
+    semantics: Semantics,
+    bottom: F,
+    top_of: TopKey,
+    solver: SubSolver[F],
+    build: Optional[Callable[[Hashable], F]] = None,
 ) -> tuple[frozenset[int], ...]:
     """Extensions of a split framework: the union over all bottom extensions
     of the lifted extensions of the top each one leaves.
 
-    Bottom extensions often leave equal tops, so each distinct top is solved
-    once and its extensions are lifted by every bottom extension that left it.
+    Bottom extensions often leave equal tops, so each top is looked up by
+    its key, equal exactly when the tops are, and each distinct top is built
+    (by ``build``; without it the key is the top) and solved once, its
+    extensions lifted by every bottom extension that left it.
     """
     if semantics not in SPLIT_SEMANTICS:
         raise UnsupportedSemantics(f"split solving does not cover {semantics.value}")
     results: set[frozenset[int]] = set()
-    solved: dict[F, Sequence[frozenset[int]]] = {}
+    solved: dict[Hashable, Sequence[frozenset[int]]] = {}
     for e1 in solver(bottom, semantics):
-        top, lift = top_of(e1)
-        family = solved.get(top)
+        key, lift = top_of(e1)
+        family = solved.get(key)
         if family is None:
-            family = solved[top] = solver(top, semantics)
+            family = solved[key] = solver(key if build is None else build(key), semantics)
         for e2 in family:
             results.add(lift(e2))
     return canonical_sets(results)

@@ -8,8 +8,9 @@ from the remaining bodies; the E-modification then re-adds, guarded by one
 fresh self-attacking assumption, the rules that were lost only because their
 bodies stayed undecided.  A splitting computes its tables once, on first use:
 the bottom rules as (body mask, head bit) pairs, each top rule's S-part mask
-with its reduct and guarded forms, and the fresh names.  A modification then
-runs its closures on ints and picks prebuilt rules.
+with its reduct and guarded forms, and the fresh names.  A bottom extension
+then runs its closures on ints to a key, the int of the prebuilt rules it
+picks, and a solve builds the top of a key only the first time it meets it.
 
 Quasi-splittings relax the cut: bottom rule bodies may mention assumptions
 outside S ("vulnerabilities") whose contraries are derivable up top.  A
@@ -41,17 +42,23 @@ from splitkit.semantics import Semantics, SubSolver, split_union, to_mask
 from splitkit.semantics import canonical_sets  # noqa: F401  perfbench/layers.py rebinds it here
 
 
+# The key bits whose rule another bit picks too, as one mask and a map from
+# each to all bits of its rule, in order.
+Repeats = tuple[int, dict[int, tuple[int, ...]]]
+
+
 class _Tables(NamedTuple):
     """One splitting's rules as int masks over atom ids, with each top rule's
-    reduct form prebuilt."""
+    reduct form prebuilt, and what a top key reads off them."""
 
     s: int
     bottom: tuple[tuple[int, int], ...]  # (body mask, head bit) per bottom rule
     pairs: tuple[tuple[int, int], ...]  # (bit, contrary bit) per bottom assumption
-    # (S-part mask, Rule(head, body - S)) per top rule, then a quasi-splitting's
-    # (guess bit, enforcing rule) entries
-    top: tuple[tuple[int, Rule], ...]
+    # (key bit, S-part mask, Rule(head, body - S)) per top rule, then a
+    # quasi-splitting's (key bit, guess bit, enforcing rule) entries
+    top: tuple[tuple[int, int, Rule], ...]
     contrary: dict[int, int]  # the top's contrary map
+    repeats: Repeats
 
 
 class _Guarded(NamedTuple):
@@ -60,10 +67,11 @@ class _Guarded(NamedTuple):
     names: tuple[str, ...]
     assumptions: frozenset[int]
     contrary: dict[int, int]
-    guard: Rule  # _cu <- _u
-    # (S-part mask, Rule(head, (body - S) | {_u})), in top order, for each
-    # top rule whose body meets S: no other rule can be guarded
-    rules: tuple[tuple[int, Rule], ...]
+    guard: Rule  # _cu <- _u, picked by key bit len(top), the guarded flag
+    # (key bit, S-part mask, Rule(head, (body - S) | {_u})), in top order,
+    # for each top rule whose body meets S: no other rule can be guarded
+    rules: tuple[tuple[int, int, Rule], ...]
+    repeats: Repeats  # over the top's entries, the guard and these
 
 
 @dataclass(eq=False)
@@ -75,8 +83,11 @@ class AbaSplitting:
     extension leaves an assumption undecided).  Every closure runs on int
     masks, and each top rule is only picked, never rebuilt: the theory of a
     bottom extension lies inside S, so a top rule survives the reduct either
-    as ``body - S`` or not at all.  ``QuasiSplitting`` is this class on an
-    expanded bottom, with more entries at the end of the top table.
+    as ``body - S`` or not at all.  A top is first a key, the int of its
+    picked entries (``_key``), and is built from it (``_top``) only when
+    solving meets the key for the first time.  ``QuasiSplitting`` is this
+    class on an expanded bottom, with more entries at the end of the top
+    table.
     """
 
     base: Abaf
@@ -87,6 +98,10 @@ class AbaSplitting:
     a1: frozenset[int]
     a2: frozenset[int]
 
+    def _enforcing(self) -> list[tuple[int, Rule]]:
+        """Entries that end the top table: none for a splitting."""
+        return []
+
     @cached_property
     def _tables(self) -> _Tables:
         s = to_mask(self.s)
@@ -94,30 +109,35 @@ class AbaSplitting:
         for r in self.r2:
             part = to_mask(r.body) & s
             top.append((part, Rule(r.head, r.body - self.s) if part else r))
+        top = [(1 << j, part, rule) for j, (part, rule) in enumerate(top + self._enforcing())]
         return _Tables(
             s,
             tuple((to_mask(r.body), 1 << r.head) for r in self.bottom.rules),
             tuple((1 << a, 1 << self.bottom.contrary[a]) for a in self.a1),
             tuple(top),
             {a: self.base.contrary[a] for a in self.a2},
+            _repeats([rule for _, _, rule in top]),
         )
 
     @cached_property
     def _guarded(self) -> _Guarded:
+        t = self._tables
         taken = set(self.base.names)
         names = self.base.names + (fresh_name(taken, "_u"), fresh_name(taken, "_cu"))
         xu, cu = len(names) - 2, len(names) - 1
         u = frozenset({xu})
-        top = self._tables.top[:len(self.r2)]  # the reduct entries, one per top rule
+        guard = Rule(cu, u)
+        # the reduct entries, one per top rule, each guarded when its body meets S
+        reduct = t.top[:len(self.r2)]
+        met = [(part, Rule(rule.head, rule.body | u)) for _, part, rule in reduct if part]
+        rules = [(1 << j, part, rule) for j, (part, rule) in enumerate(met, len(t.top) + 1)]
         return _Guarded(
-            names, self.a2 | u, {**self._tables.contrary, xu: cu}, Rule(cu, u),
-            tuple((part, Rule(rule.head, rule.body | u)) for part, rule in top if part),
+            names, self.a2 | u, {**t.contrary, xu: cu}, guard, tuple(rules),
+            _repeats([rule for _, _, rule in t.top] + [guard] + [rule for _, rule in met]),
         )
 
     def reduct(self, e: Iterable[int]) -> Abaf:
-        t = self._tables
-        th = _closure(t.bottom, to_mask(self._check_e(e)))
-        return Abaf(self.base.names, _reduct_rules(t, th), self.a2, t.contrary)
+        return self._top(self._key(to_mask(self._check_e(e)), modified=False))
 
     def undecided(self, e: Iterable[int]) -> tuple[frozenset[int], frozenset[int]]:
         return undecided_theory(self.bottom, self._check_e(e))
@@ -141,7 +161,14 @@ class AbaSplitting:
 
     def modification(self, e: Iterable[int]) -> Abaf:
         """The reduct, plus the rules lost only to undecided bodies, each
-        guarded by one fresh self-attacking assumption ``_u``.
+        guarded by one fresh self-attacking assumption ``_u``."""
+        return self._top(self._key(to_mask(self._check_e(e))))
+
+    def _key(self, e: int, modified: bool = True) -> int:
+        """The key of the modification (or, without ``modified``, of the
+        reduct) that the bottom extension ``e`` leaves: one bit per picked
+        entry of the top table, then the guarded flag and one bit per picked
+        guarded rule, made canonical by ``_canonical``.
 
         One closure of ``e`` serves the reduct and the undecided assumptions,
         and one closure of the undefeated assumptions serves the undecided
@@ -149,16 +176,18 @@ class AbaSplitting:
         inside S, so a top rule's S-part mask decides each test.
         """
         t = self._tables
-        e = to_mask(self._check_e(e))
         th = _closure(t.bottom, e)
-        rules = _reduct_rules(t, th)
+        key = 0
+        for bit, part, _ in t.top:
+            if part & th == part:
+                key |= bit
         live = 0
         for bit, contrary in t.pairs:
             if not th & contrary:
                 live |= bit
         undecided = live & ~e
-        if not undecided:
-            return Abaf(self.base.names, rules, self.a2, t.contrary)
+        if not (modified and undecided):
+            return _canonical(key, t.repeats)
         derivable = _closure(t.bottom, live)
         taint = _taint(t.bottom, derivable, undecided)
         ruled_out = t.s & ~derivable
@@ -166,8 +195,21 @@ class AbaSplitting:
             if e & bit:
                 ruled_out |= contrary
         g = self._guarded
+        key |= 1 << len(t.top)
+        for bit, part, _ in g.rules:
+            if part & taint and not part & ruled_out:
+                key |= bit
+        return _canonical(key, g.repeats)
+
+    def _top(self, key: int) -> Abaf:
+        """The top that ``key`` picks, its rules in table order."""
+        t = self._tables
+        rules = [rule for bit, _, rule in t.top if key & bit]
+        if not key >> len(t.top):
+            return Abaf(self.base.names, rules, self.a2, t.contrary)
+        g = self._guarded
         rules.append(g.guard)
-        rules += [rule for part, rule in g.rules if part & taint and not part & ruled_out]
+        rules += [rule for bit, _, rule in g.rules if key & bit]
         return Abaf(g.names, rules, g.assumptions, g.contrary)
 
     def solve(
@@ -177,13 +219,21 @@ class AbaSplitting:
         sub_solver: Optional[SubSolver[Abaf]] = None,
     ) -> tuple[frozenset[int], ...]:
         require_flat(self.base, semantics)  # as the oracle does, though bottom and tops may be flat
+        return self._union(semantics, guard, sub_solver)
+
+    def _union(
+        self, semantics: Semantics, guard: Optional[int], sub_solver: Optional[SubSolver[Abaf]]
+    ) -> tuple[frozenset[int], ...]:
+        """``split_union`` over this splitting's keyed tops; each result
+        keeps the bottom extension's part in S."""
 
         def top_of(e1: frozenset[int]):
-            return self.modification(e1), lambda e2: e1 | (e2 & self.a2)
+            kept = e1 & self.s
+            return self._key(to_mask(e1)), lambda e2: kept | (e2 & self.a2)
 
         return split_union(
             semantics, self.bottom, top_of,
-            sub_solver or (lambda f, s: enumerate_extensions(f, s, guard)),
+            sub_solver or (lambda f, s: enumerate_extensions(f, s, guard)), self._top,
         )
 
     def _check_e(self, e: Iterable[int]) -> frozenset[int]:
@@ -220,9 +270,36 @@ def _taint(rules: tuple[tuple[int, int], ...], derivable: int, seed: int) -> int
     return out
 
 
-def _reduct_rules(t: _Tables, th: int) -> list[Rule]:
-    """The top rules whose S-part the bottom theory ``th`` derives, minus S."""
-    return [rule for part, rule in t.top if part & th == part]
+def _repeats(rules: list[Rule]) -> Repeats:
+    """The ``Repeats`` of the keys whose bit j picks ``rules[j]``."""
+    at: dict[Rule, list[int]] = {}
+    for j, rule in enumerate(rules):
+        at.setdefault(rule, []).append(j)
+    bits = {j: tuple(js) for js in at.values() if len(js) > 1 for j in js}
+    return to_mask(bits), bits
+
+
+def _canonical(key: int, repeats: Repeats) -> int:
+    """``key`` with each rule picked twice kept once, and each repeated rule
+    moved to its first bit after the rule kept before it.
+
+    A top holds its picked rules in key order, the first of each, so two
+    keys that pick the same rules in the same order become one int: keys
+    are equal exactly when their tops are.
+    """
+    mask, bits_of = repeats
+    moved = key & mask
+    out = key ^ moved
+    seen = set()
+    while moved:
+        low = moved & -moved
+        moved ^= low
+        bits = bits_of[low.bit_length() - 1]
+        if bits[0] not in seen:
+            seen.add(bits[0])
+            last = (out & (low - 1)).bit_length() - 1  # kept before it, each at or below its bit
+            out |= 1 << next(b for b in bits if b > last)
+    return out
 
 
 def _cut(
@@ -318,14 +395,12 @@ class QuasiSplitting(AbaSplitting):
     def k(self) -> int:
         return len(self.vulnerabilities)
 
-    @cached_property
-    def _tables(self) -> _Tables:
-        t = super()._tables
+    def _enforcing(self) -> list[tuple[int, Rule]]:
         vulnerable = sorted(self.vulnerabilities)
         facts = [(1 << b, Rule(b, frozenset())) for b in vulnerable]
         loops = [(1 << self.marker_of[b], Rule(self.base.contrary[b], frozenset({b})))
                  for b in vulnerable]
-        return t._replace(top=t.top + tuple(facts + loops))
+        return facts + loops
 
     def solve(
         self,
@@ -337,14 +412,7 @@ class QuasiSplitting(AbaSplitting):
         the route covers no other semantics."""
         if semantics is not Semantics.STB:
             raise UnsupportedSemantics(f"quasi-splitting covers stb only, not {semantics.value}")
-
-        def top_of(e1: frozenset[int]):
-            return self.modification(e1), lambda e2: (e1 & self.s) | (e2 & self.a2)
-
-        return split_union(
-            Semantics.STB, self.bottom, top_of,
-            sub_solver or (lambda f, s: enumerate_extensions(f, s, guard)),
-        )
+        return self._union(semantics, guard, sub_solver)
 
     def witness_bottom(self, extension: Iterable[int]) -> frozenset[int]:
         """Bottom choice recovering a stable extension of the base framework:

@@ -100,6 +100,33 @@ def assumption_contrary_abaf(seed: int) -> Abaf:
     return Abaf(d.names, d.rules, d.assumptions, contrary)
 
 
+def support_ladder(k: int) -> Abaf:
+    """The fact ``p0``; for i = 1..k the assumptions ``a_i`` and ``b_i``,
+    which attack each other, and the rules ``p_i <- p_{i-1}, a_i`` and
+    ``p_i <- p_{i-1}, b_i``; and ``x``, whose contrary is ``p_k``.  That is
+    2k + 1 assumptions, 2^k minimal supports of ``p_k``, and exactly 2^k
+    stable and 2^k preferred extensions: one of ``a_i``, ``b_i`` for each i,
+    never ``x``."""
+    assumptions = {"x": f"p{k}"}
+    rules = [("p0", [])]
+    for i in range(1, k + 1):
+        assumptions |= {f"a{i}": f"ca{i}", f"b{i}": f"cb{i}"}
+        rules += [(f"ca{i}", [f"b{i}"]), (f"cb{i}", [f"a{i}"]),
+                  (f"p{i}", [f"p{i - 1}", f"a{i}"]), (f"p{i}", [f"p{i - 1}", f"b{i}"])]
+    return Abaf.from_names(assumptions, rules)
+
+
+def head_first_chains(length: int) -> Abaf:
+    """``a`` attacks ``b`` and ``b`` attacks ``c`` through chains of
+    ``length`` sentences, each chain's rules listed from its head down, so
+    that a closure pass derives one more link of each."""
+    rules = []
+    for src, dst in (("a", "b"), ("b", "c")):
+        links = [src] + [f"{src}{i}" for i in range(1, length)] + [f"c_{dst}"]
+        rules += [(links[i + 1], [links[i]]) for i in reversed(range(length))]
+    return Abaf.from_names({"a": "c_a", "b": "c_b", "c": "c_c"}, rules)
+
+
 def quasi_splittings(d: Abaf, max_k: int):
     """Every quasi-splitting of ``d`` by a union of contracted groups, k <= max_k."""
     con = pair_contracted(d)

@@ -1,5 +1,12 @@
-"""The split-set finders as they were before ``graphs.balanced_prefix``,
-kept as the reference that the one-pass finders must match set for set.
+"""Earlier forms of program code, kept as the references that their
+replacements must match.
+
+The support-based ABA sweep (``support_extensions``) is the oracle as it
+was before the sweep ran on the rules: attack lists read off
+``minimal_supports``, swept by ``compute_families``.
+
+The split-set finders are those before ``graphs.balanced_prefix``, which
+the one-pass finders must match set for set.
 
 Each finder condensed a ``Digraph`` of the framework (``graphs.condense``),
 listed the prefixes of five keyed Kahn orders of the condensation
@@ -12,12 +19,34 @@ graph; ``quasi_flow`` is that candidate pool, the rest unchanged.
 from dataclasses import replace
 from heapq import heapify, heappop, heappush
 
+from splitkit.aba import minimal_supports, require_flat
 from splitkit.errors import DegenerateSplit, InvalidBalance
 from splitkit.graphs import Digraph, balls, condense, flow_network, max_flow
-from splitkit.semantics import unmask
+from splitkit.semantics import Semantics, canonical_sets, compute_families, unmask
 from splitkit.setaf import primal_graph
 from splitkit.split_aba import make_splitting, vulnerabilities
 from splitkit.split_setaf import make_splitting as make_setaf_splitting
+
+
+def support_extensions(abaf, semantics) -> tuple[frozenset[int], ...]:
+    """``aba.enumerate_extensions`` from the support table: each contrary's
+    minimal supports, moved to assumption positions, are the attack list,
+    and on a non-flat framework each assumption's supports are the
+    derivations that closed-set stable checks."""
+    require_flat(abaf, semantics)
+    order = sorted(abaf.assumptions)
+    position = {a: i for i, a in enumerate(order)}
+
+    def packed(mask: int) -> int:
+        return sum(1 << position[a] for a in range(mask.bit_length()) if mask >> a & 1)
+
+    sup = minimal_supports(abaf)
+    attacks = [(packed(t), i) for i, a in enumerate(order) for t in sup[abaf.contrary[a]]]
+    closure = []
+    if semantics is Semantics.STB and not abaf.flat:
+        closure = [(packed(t), i) for i, a in enumerate(order) for t in sup[a]]
+    masks = compute_families(len(order), attacks, semantics, closure)
+    return canonical_sets(unmask(m, order) for m in masks)
 
 
 def dependency_graph(abaf) -> Digraph:

@@ -1,6 +1,12 @@
+from itertools import combinations
+
 import pytest
 
-from helpers import abaf7, abaf_vuln, cyclic_abaf, ids, nm, perfbench_stack, support_sets
+from helpers import (
+    abaf7, abaf_vuln, assumption_contrary_abaf, cyclic_abaf, head_first_chains, ids, nm,
+    perfbench_stack, support_ladder, support_sets,
+)
+from reference import support_extensions
 from splitkit.aba import (
     Abaf,
     Rule,
@@ -351,3 +357,45 @@ def test_support_tables_match_the_set_based_fixpoint():
         facts += sum(masks == (0,) for masks in sup.values())
         underivable += sum(masks == () for masks in sup.values())
     assert facts > 100 and underivable > 200
+
+
+# -- the sweep on the rules against the support-based sweep ----------------------
+
+
+def test_rule_sweep_matches_the_support_sweep_and_the_definitions():
+    """``enumerate_extensions`` against the sweep of the support table that
+    it replaced, and against ``check_extension`` on every subset: non-flat
+    frameworks (stable and conflict-free), assumption contraries, chains
+    listed head first, which need one closure pass per link, and the ladder
+    whose last rung has 2^k minimal supports."""
+    frameworks = [cyclic_abaf(seed) for seed in range(150)]
+    frameworks += [assumption_contrary_abaf(seed) for seed in range(150)]
+    frameworks += [head_first_chains(n) for n in (1, 4, 9)]
+    ladders = [support_ladder(k) for k in range(3, 7)]
+    assert sum(not d.flat for d in frameworks) > 50
+    nonflat_answers = 0
+    for d in frameworks + ladders:
+        for sem in Semantics:
+            copy = Abaf(d.names, d.rules, d.assumptions, d.contrary)
+            try:
+                want = support_extensions(copy, sem)
+            except NonFlatError:
+                with pytest.raises(NonFlatError):
+                    enumerate_extensions(d, sem)
+                continue
+            got = enumerate_extensions(d, sem)
+            assert got == want, (d, sem)
+            nonflat_answers += not d.flat and got != ()
+            definitional = sem in (Semantics.CF, Semantics.STB, Semantics.ADM, Semantics.COM)
+            if definitional and len(d.assumptions) <= 7:
+                everything = sorted(d.assumptions)
+                for size in range(len(everything) + 1):
+                    for s in map(frozenset, combinations(everything, size)):
+                        assert check_extension(d, s, sem) == (s in got), (d, s, sem)
+    assert nonflat_answers > 50
+    for chain_abaf in frameworks[-3:]:
+        assert nm(chain_abaf, enumerate_extensions(chain_abaf, Semantics.STB)[0]) == {"a", "c"}
+    for k, d in enumerate(ladders, 3):
+        for sem in (Semantics.STB, Semantics.PREF):
+            family = enumerate_extensions(d, sem)
+            assert len(family) == 2 ** k and not any(d.atom_id("x") in e for e in family)

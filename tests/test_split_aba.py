@@ -287,6 +287,61 @@ def test_split_solves_each_distinct_top_once():
     assert repeats > 0
 
 
+def distinct_tops_built(sp, sem) -> tuple[int, int]:
+    """Solve ``sp`` with a sub-solver that records what it is handed and
+    solves only the bottom, and check that it was handed each distinct top
+    (rules in order) once; the bottom extensions and distinct tops counted."""
+    from splitkit.io import emit_aba
+
+    calls = []
+
+    def recording(fw, s):
+        calls.append(fw)
+        return enumerate_extensions(fw, s) if len(calls) == 1 else ()
+
+    sp.solve(sem, sub_solver=recording)
+    bottom_exts = enumerate_extensions(sp.bottom, sem)
+    tops = sorted({emit_aba(sp.modification(e1)) for e1 in bottom_exts})
+    assert calls[0] is sp.bottom
+    assert sorted(emit_aba(top) for top in calls[1:]) == tops
+    return len(bottom_exts), len(tops)
+
+
+def test_bottom_extensions_share_a_top_key_exactly_when_their_tops_are_equal():
+    """``split_union`` builds a top only for a key it has not met, so each
+    distinct top reaches the sub-solver once exactly when keys are equal
+    just for equal tops, rule order included.  Two top rules with the same
+    reduct make two selections that build one top, or two tops that hold
+    the same rules in different orders."""
+    from helpers import perfbench_stack, topo_prefixes
+    from splitkit.finder import find_balanced_splitting
+
+    stack = perfbench_stack()
+    three = (Semantics.ADM, Semantics.COM, Semantics.STB)
+    splittings = [
+        (make_splitting(d, find_balanced_splitting(d)), three)
+        for d in (stack(gen, 2, 8 + gen % 2) for gen in range(20))
+    ]
+    for d in [random_abaf(seed) for seed in range(60)] + [cyclic_abaf(seed) for seed in range(60)]:
+        sems = three if d.flat else (Semantics.STB,)
+        splittings += [(make_splitting(d, s), sems) for s in topo_prefixes(d)]
+        splittings += [(q, (Semantics.STB,)) for q in quasi_splittings(d, 2)]
+    shared = 0
+    for sp, sems in splittings:
+        for sem in sems:
+            exts, tops = distinct_tops_built(sp, sem)
+            shared += exts - tops
+    assert shared > 1000
+
+    for between in (False, True):
+        rules = [("a_c", ["b"]), ("b_c", ["a"]), ("s", ["a"]), ("t", ["b"]),
+                 ("h", ["s", "x"]), ("h", ["t", "x"])]
+        rules.insert(5 if between else 4, ("k", ["x"]))
+        d = Abaf.from_names({"a": "a_c", "b": "b_c", "x": "x_c"}, rules)
+        sp = make_splitting(d, ids(d, "a", "b", "a_c", "b_c", "s", "t"))
+        assert distinct_tops_built(sp, Semantics.STB) == (2, 2 if between else 1)
+
+
 def test_bottom_support_conservativity():
     from splitkit.finder import splitting_sets
 
