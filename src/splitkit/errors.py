@@ -48,9 +48,10 @@ class GuardExceeded(SplitkitError):
 class InvalidSplit(SplitkitError):
     """A1 does not induce a splitting: some attack enters A1 from outside."""
 
-    def __init__(self, attack):
+    def __init__(self, attack, names):
         tail, head = attack
-        super().__init__(f"attack ({sorted(tail)}, {head}) enters the bottom part")
+        tail = ", ".join(names[t] for t in sorted(tail))
+        super().__init__(f"attack ([{tail}], {names[head]}) enters the bottom part")
         self.attack = attack
 
 
@@ -65,17 +66,19 @@ class NotAtomClosed(ValidationError):
 class HeadInBodyOut(ValidationError):
     """A rule has its head inside a candidate splitting set but body atoms outside."""
 
-    def __init__(self, rule):
-        super().__init__(f"rule with head {rule.head} has body atoms outside the set")
+    def __init__(self, rule, names):
+        body = ", ".join(names[b] for b in sorted(rule.body))
+        super().__init__(f"rule {names[rule.head]} <- {body} has body atoms outside the set")
         self.rule = rule
 
 
 class NonAssumptionBodyOut(ValidationError):
     """Quasi-splitting violation: a non-assumption body atom escapes the set."""
 
-    def __init__(self, rule):
+    def __init__(self, rule, names):
+        body = ", ".join(names[b] for b in sorted(rule.body))
         super().__init__(
-            f"rule with head {rule.head} has non-assumption body atoms outside the set"
+            f"rule {names[rule.head]} <- {body} has non-assumption body atoms outside the set"
         )
         self.rule = rule
 

@@ -103,7 +103,7 @@ def find_balanced_splitting(abaf: Abaf, target: float = 0.5) -> frozenset[int]:
             raise NotAtomClosed(abaf.names[c if a in s else a])
     for r in abaf.rules:
         if r.head in s and not r.body <= s:
-            raise HeadInBodyOut(r)
+            raise HeadInBodyOut(r, abaf.names)
     return s
 
 
@@ -115,7 +115,7 @@ def find_setaf_splitting(sf: Setaf, target: float = 0.5) -> frozenset[int]:
     a1 = _best_prefix(succ, target)
     for attack in sf.attacks:  # never trust the construction unchecked
         if attack[1] in a1 and not attack[0] <= a1:
-            raise InvalidSplit(attack)
+            raise InvalidSplit(attack, sf.names)
     return a1
 
 

@@ -18,8 +18,7 @@ accidental blowups out.
 
 ``split_union`` is the one splitting schema that the ABA, quasi and SETAF
 splittings share: solve the bottom, key the top of each bottom extension,
-build and solve each distinct top once, and take the union of the combined
-results.
+solve each distinct top once, and take the union of the combined results.
 """
 
 from __future__ import annotations
@@ -252,9 +251,9 @@ SubSolver = Callable[[F, Semantics], Sequence[frozenset[int]]]
 
 SPLIT_SEMANTICS = (Semantics.STB, Semantics.ADM, Semantics.COM, Semantics.PREF, Semantics.GRD)
 
-# Gives, for one bottom extension, the key of the top it leaves and the map
+# Gives, for one bottom extension, a key of the top it leaves and the map
 # lifting each top extension, joined with that bottom extension, into the
-# base's ids.
+# base's ids.  Equal keys must stand for equal tops; unequal keys may too.
 TopKey = Callable[[frozenset[int]], tuple[Hashable, Callable[[frozenset[int]], frozenset[int]]]]
 
 
@@ -268,20 +267,25 @@ def split_union(
     """Extensions of a split framework: the union over all bottom extensions
     of the lifted extensions of the top each one leaves.
 
-    Bottom extensions often leave equal tops, so each top is looked up by
-    its key, equal exactly when the tops are, and each distinct top is built
-    (by ``build``; without it the key is the top) and solved once, its
-    extensions lifted by every bottom extension that left it.
+    Bottom extensions often leave equal tops, so each distinct top is solved
+    once, its extensions lifted by every bottom extension that left it.  A
+    key met before is a fast path to its family; a new key is built into its
+    top (by ``build``; without it the key is the top), which is then looked
+    up by framework equality, so unequal keys of one top share one solve.
     """
     if semantics not in SPLIT_SEMANTICS:
         raise UnsupportedSemantics(f"split solving does not cover {semantics.value}")
     results: set[frozenset[int]] = set()
-    solved: dict[Hashable, Sequence[frozenset[int]]] = {}
+    solved: dict[Hashable, Sequence[frozenset[int]]] = {}  # by key and by top
     for e1 in solver(bottom, semantics):
         key, lift = top_of(e1)
         family = solved.get(key)
         if family is None:
-            family = solved[key] = solver(key if build is None else build(key), semantics)
+            top = key if build is None else build(key)
+            family = solved.get(top)
+            if family is None:
+                family = solver(top, semantics)
+            solved[key] = solved[top] = family
         for e2 in family:
             results.add(lift(e2))
     return canonical_sets(results)

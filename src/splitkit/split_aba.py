@@ -11,6 +11,7 @@ the bottom rules as (body mask, head bit) pairs, each top rule's S-part mask
 with its reduct and guarded forms, and the fresh names.  A bottom extension
 then runs its closures on ints to a key, the int of the prebuilt rules it
 picks, and a solve builds the top of a key only the first time it meets it.
+Two keys may pick rules that build one top; ``split_union`` solves it once.
 
 Quasi-splittings relax the cut: bottom rule bodies may mention assumptions
 outside S ("vulnerabilities") whose contraries are derivable up top.  A
@@ -42,14 +43,9 @@ from splitkit.semantics import Semantics, SubSolver, split_union, to_mask
 from splitkit.semantics import canonical_sets  # noqa: F401  perfbench/layers.py rebinds it here
 
 
-# The key bits whose rule another bit picks too, as one mask and a map from
-# each to all bits of its rule, in order.
-Repeats = tuple[int, dict[int, tuple[int, ...]]]
-
-
 class _Tables(NamedTuple):
     """One splitting's rules as int masks over atom ids, with each top rule's
-    reduct form prebuilt, and what a top key reads off them."""
+    reduct form prebuilt."""
 
     s: int
     bottom: tuple[tuple[int, int], ...]  # (body mask, head bit) per bottom rule
@@ -58,7 +54,6 @@ class _Tables(NamedTuple):
     # quasi-splitting's (key bit, guess bit, enforcing rule) entries
     top: tuple[tuple[int, int, Rule], ...]
     contrary: dict[int, int]  # the top's contrary map
-    repeats: Repeats
 
 
 class _Guarded(NamedTuple):
@@ -71,7 +66,6 @@ class _Guarded(NamedTuple):
     # (key bit, S-part mask, Rule(head, (body - S) | {_u})), in top order,
     # for each top rule whose body meets S: no other rule can be guarded
     rules: tuple[tuple[int, int, Rule], ...]
-    repeats: Repeats  # over the top's entries, the guard and these
 
 
 @dataclass(eq=False)
@@ -85,9 +79,10 @@ class AbaSplitting:
     bottom extension lies inside S, so a top rule survives the reduct either
     as ``body - S`` or not at all.  A top is first a key, the int of its
     picked entries (``_key``), and is built from it (``_top``) only when
-    solving meets the key for the first time.  ``QuasiSplitting`` is this
-    class on an expanded bottom, with more entries at the end of the top
-    table.
+    solving meets the key for the first time.  Two top rules with the same
+    reduct make two keys of one top, which ``split_union`` solves once.
+    ``QuasiSplitting`` is this class on an expanded bottom, with more
+    entries at the end of the top table.
     """
 
     base: Abaf
@@ -116,7 +111,6 @@ class AbaSplitting:
             tuple((1 << a, 1 << self.bottom.contrary[a]) for a in self.a1),
             tuple(top),
             {a: self.base.contrary[a] for a in self.a2},
-            _repeats([rule for _, _, rule in top]),
         )
 
     @cached_property
@@ -131,10 +125,7 @@ class AbaSplitting:
         reduct = t.top[:len(self.r2)]
         met = [(part, Rule(rule.head, rule.body | u)) for _, part, rule in reduct if part]
         rules = [(1 << j, part, rule) for j, (part, rule) in enumerate(met, len(t.top) + 1)]
-        return _Guarded(
-            names, self.a2 | u, {**t.contrary, xu: cu}, guard, tuple(rules),
-            _repeats([rule for _, _, rule in t.top] + [guard] + [rule for _, rule in met]),
-        )
+        return _Guarded(names, self.a2 | u, {**t.contrary, xu: cu}, guard, tuple(rules))
 
     def reduct(self, e: Iterable[int]) -> Abaf:
         return self._top(self._key(to_mask(self._check_e(e)), modified=False))
@@ -168,7 +159,8 @@ class AbaSplitting:
         """The key of the modification (or, without ``modified``, of the
         reduct) that the bottom extension ``e`` leaves: one bit per picked
         entry of the top table, then the guarded flag and one bit per picked
-        guarded rule, made canonical by ``_canonical``.
+        guarded rule.  Equal keys build equal tops; unequal keys may too, when
+        two entries hold the same rule.
 
         One closure of ``e`` serves the reduct and the undecided assumptions,
         and one closure of the undefeated assumptions serves the undecided
@@ -187,7 +179,7 @@ class AbaSplitting:
                 live |= bit
         undecided = live & ~e
         if not (modified and undecided):
-            return _canonical(key, t.repeats)
+            return key
         derivable = _closure(t.bottom, live)
         taint = _taint(t.bottom, derivable, undecided)
         ruled_out = t.s & ~derivable
@@ -199,7 +191,7 @@ class AbaSplitting:
         for bit, part, _ in g.rules:
             if part & taint and not part & ruled_out:
                 key |= bit
-        return _canonical(key, g.repeats)
+        return key
 
     def _top(self, key: int) -> Abaf:
         """The top that ``key`` picks, its rules in table order."""
@@ -270,38 +262,6 @@ def _taint(rules: tuple[tuple[int, int], ...], derivable: int, seed: int) -> int
     return out
 
 
-def _repeats(rules: list[Rule]) -> Repeats:
-    """The ``Repeats`` of the keys whose bit j picks ``rules[j]``."""
-    at: dict[Rule, list[int]] = {}
-    for j, rule in enumerate(rules):
-        at.setdefault(rule, []).append(j)
-    bits = {j: tuple(js) for js in at.values() if len(js) > 1 for j in js}
-    return to_mask(bits), bits
-
-
-def _canonical(key: int, repeats: Repeats) -> int:
-    """``key`` with each rule picked twice kept once, and each repeated rule
-    moved to its first bit after the rule kept before it.
-
-    A top holds its picked rules in key order, the first of each, so two
-    keys that pick the same rules in the same order become one int: keys
-    are equal exactly when their tops are.
-    """
-    mask, bits_of = repeats
-    moved = key & mask
-    out = key ^ moved
-    seen = set()
-    while moved:
-        low = moved & -moved
-        moved ^= low
-        bits = bits_of[low.bit_length() - 1]
-        if bits[0] not in seen:
-            seen.add(bits[0])
-            last = (out & (low - 1)).bit_length() - 1  # kept before it, each at or below its bit
-            out |= 1 << next(b for b in bits if b > last)
-    return out
-
-
 def _cut(
     abaf: Abaf, sentence_set: Iterable[int], loose: frozenset[int], error: type[ValidationError]
 ) -> tuple[frozenset[int], tuple[Rule, ...], tuple[Rule, ...]]:
@@ -323,7 +283,7 @@ def _cut(
         elif r.body <= allowed:
             r1.append(r)
         else:
-            raise error(r)
+            raise error(r, abaf.names)
     return s, tuple(r1), tuple(r2)
 
 

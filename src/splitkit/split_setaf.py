@@ -182,7 +182,7 @@ def make_splitting(sf: Setaf, a1: Iterable[int]) -> SetafSplitting:
             if tail <= a1:
                 r1.append((tail, head))
             else:
-                raise InvalidSplit((tail, head))
+                raise InvalidSplit((tail, head), sf.names)
         elif tail <= a2:
             r2.append((tail, head))
         else:

@@ -1,4 +1,12 @@
+import tempfile
+import warnings
+from contextlib import redirect_stderr, redirect_stdout
+from io import StringIO
+from pathlib import Path
+
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
 from helpers import abaf7, abaf_chain3, attacks_nm, ids, setaf7
 from splitkit.aba import Abaf
@@ -330,3 +338,76 @@ def test_output_is_byte_identical_across_runs(tmp_path, capsys):
         assert main(["solve", path, "--semantics", "com"]) == 0
         runs.append(capsys.readouterr().out)
     assert runs[0] == runs[1]
+
+
+def test_split_set_errors_name_rules_and_attacks_by_display_names(tmp_path, capsys):
+    # the file's "r 3 1 4" (internal head 2) and "e 1 2", the attack on 1 by 2
+    aba = write(tmp_path, "d.aba", "p aba 4\na 1\nc 1 2\nr 3 1 4\nr 4\n")
+    split = write(tmp_path, "s.txt", "3\n1\n2\n")
+    for mode, what in (("split", "body atoms"), ("param", "non-assumption body atoms")):
+        capsys.readouterr()
+        assert main(["solve", aba, "--semantics", "stb", "--mode", mode, "--split-set", split]) == 3
+        assert capsys.readouterr().err == f"error: rule 3 <- 1, 4 has {what} outside the set\n"
+    sf = write(tmp_path, "sf.setaf", "p setaf 2\ne 1 2\n")
+    bottom = write(tmp_path, "b.txt", "1\n")
+    assert main(["solve", sf, "--format", "setaf", "--semantics", "stb", "--mode", "split",
+                 "--split-set", bottom]) == 3
+    assert capsys.readouterr().err == "error: attack ([2], 1) enters the bottom part\n"
+
+
+# an inserted line is a directive and up to three ids, in and out of range;
+# a replaced token is any of these or a header or name token
+DIRECTIVES = ("a", "c", "r", "e", "#")
+IDS = ("-1", "0", "1", "2", "3", "9")
+TOKENS = DIRECTIVES + IDS + ("p", "aba", "setaf", "name")
+
+
+@st.composite
+def mutated_inputs(draw):
+    """An emitted random framework with one to three lines deleted, inserted
+    or changed in one token, its format and a semantics."""
+    fmt = draw(st.sampled_from(("aba", "setaf")))
+    seed = draw(st.integers(0, 500))
+    text = emit_aba(random_abaf(seed)) if fmt == "aba" else emit_setaf(random_setaf(seed))
+    lines = [line.split() for line in text.splitlines()]
+    for _ in range(draw(st.integers(1, 3))):
+        kind = draw(st.sampled_from(("delete", "insert", "replace")))
+        at = draw(st.integers(0, len(lines)))
+        if kind == "insert":
+            ids = draw(st.lists(st.sampled_from(IDS), max_size=3))
+            lines.insert(at, [draw(st.sampled_from(DIRECTIVES)), *ids])
+        elif at < len(lines) and kind == "delete":
+            del lines[at]
+        elif at < len(lines) and lines[at]:
+            lines[at][draw(st.integers(0, len(lines[at]) - 1))] = draw(st.sampled_from(TOKENS))
+    text = "".join(" ".join(line) + "\n" for line in lines)
+    return fmt, text, draw(st.sampled_from(("cf", "adm", "com", "grd", "prf", "stb")))
+
+
+def run_cli(argv) -> tuple[int, str]:
+    out = StringIO()
+    with redirect_stdout(out), redirect_stderr(StringIO()), warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # stripped dummy rules
+        code = main(argv)
+    return code, out.getvalue()
+
+
+@settings(max_examples=300, deadline=None)
+@given(mutated_inputs())
+def test_mutated_inputs_exit_cleanly_and_split_answers_as_direct(case):
+    """Every mode ends in an answer (0), a parse error (2) or a validation
+    error (3); split and param exit as direct does, except that split
+    refuses cf, and print what direct prints when they answer."""
+    fmt, text, sem = case
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / f"in.{fmt}"
+        path.write_text(text, encoding="utf-8")
+        argv = ["solve", str(path), "--format", fmt, "--semantics", sem]
+        direct, want = run_cli(argv + ["--mode", "direct"])
+        assert direct in (0, 2, 3)
+        modes = ("split", "param") if fmt == "aba" and sem == "stb" else ("split",)
+        for mode in modes:
+            code, out = run_cli(argv + ["--mode", mode])
+            assert code == (3 if sem == "cf" and direct != 2 else direct), (mode, text)
+            if code == 0:
+                assert out == want, (mode, text)

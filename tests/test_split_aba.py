@@ -308,11 +308,10 @@ def distinct_tops_built(sp, sem) -> tuple[int, int]:
 
 
 def test_bottom_extensions_share_a_top_key_exactly_when_their_tops_are_equal():
-    """``split_union`` builds a top only for a key it has not met, so each
-    distinct top reaches the sub-solver once exactly when keys are equal
-    just for equal tops, rule order included.  Two top rules with the same
-    reduct make two selections that build one top, or two tops that hold
-    the same rules in different orders."""
+    """Each distinct top, rules in order, reaches the sub-solver once, over
+    many splittings whose bottom extensions share tops.  Two top rules with
+    the same reduct make two selections that build one top, solved once, or
+    two tops that hold the same rules in different orders, solved once each."""
     from helpers import perfbench_stack, topo_prefixes
     from splitkit.finder import find_balanced_splitting
 
