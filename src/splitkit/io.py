@@ -24,7 +24,7 @@ from typing import Iterable
 
 from splitkit.aba import Abaf, Rule, strip_dummy_rules
 from splitkit.errors import ParseError, ValidationError
-from splitkit.semantics import canonical_sets
+from splitkit.semantics import Family, canonical_sets
 from splitkit.setaf import Setaf
 
 
@@ -184,11 +184,14 @@ def emit_setaf(sf: Setaf) -> str:
 
 def format_extensions(extensions: Iterable[frozenset[int]], names: tuple[str, ...]) -> str:
     """One ``E <member names>`` line per extension, in canonical order, or
-    ``NO``; each extension's member order comes from its canonical sort key."""
-    keys = canonical_sets(extensions, keys=True)
-    if not keys:
+    ``NO``.  A ``Family`` is printed from the member lists its canonical
+    sort kept; anything else is put in canonical order first."""
+    if not isinstance(extensions, Family):
+        extensions = canonical_sets(extensions)
+    if not extensions:
         return "NO\n"
-    return "".join(("E " + " ".join([names[a] for a in key])).rstrip() + "\n" for key in keys)
+    return "".join(("E " + " ".join([names[a] for a in key])).rstrip() + "\n"
+                   for key in extensions.members)
 
 
 def parse_atom_set(text: str, n: int) -> frozenset[int]:

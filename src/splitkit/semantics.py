@@ -46,6 +46,8 @@ DEFENDING = (Semantics.ADM, Semantics.COM, Semantics.PREF)
 
 
 def resolve_guard(guard: int | str | None) -> int:
+    if type(guard) is int and guard >= 0:
+        return guard
     if guard is None:
         guard = os.environ.get("SPLITKIT_GUARD", DEFAULT_GUARD)
     if not str(guard).strip().isdecimal():
@@ -117,12 +119,23 @@ def compute_families(
                         ((fits(tail), item) for tail, item in closure))
 
 
-def item_columns(n: int) -> list[int]:
+# The widest table of columns kept once built: the table of width n holds
+# n * 2^n bits, so the tables of widths 0..16 together hold about 250 KiB.
+COLUMN_CAP = 16
+_columns: dict[int, tuple[int, ...]] = {}
+
+
+def item_columns(n: int) -> tuple[int, ...]:
     """Per item i < n, the column of the subsets of n items that hold it.
 
     Each is built by doubling one period, never by dividing: CPython's
-    big-int division is superlinear in the width of the column.
+    big-int division is superlinear in the width of the column.  The table
+    of a width up to ``COLUMN_CAP`` is built on its first call and kept, so
+    every sweep of that width shares it; wider ones are built per call.
     """
+    table = _columns.get(n)
+    if table is not None:
+        return table
     out = []
     for i in range(n):
         width = 1 << i
@@ -132,7 +145,10 @@ def item_columns(n: int) -> list[int]:
             col |= col << width
             width <<= 1
         out.append(col)
-    return out
+    table = tuple(out)
+    if n <= COLUMN_CAP:
+        _columns[n] = table
+    return table
 
 
 def select_masks(
@@ -228,17 +244,27 @@ def unmask(mask: int, order: Sequence) -> frozenset:
     return frozenset(out)
 
 
-def canonical_sets(sets: Iterable[frozenset], keys: bool = False) -> tuple:
+class Family(tuple):
+    """A family in canonical order, equal to the plain tuple of its sets.
+
+    ``members`` holds, per set, its members as the sorted list that was its
+    sort key, so that a printout lists them without sorting again.
+    """
+
+    members: list[list]
+
+
+def canonical_sets(sets: Iterable[frozenset]) -> Family:
     """Deterministic family order: lexicographic on the sorted member ids.
 
-    Each distinct set is sorted once, and that sorted list is its key.  With
-    ``keys`` the keys themselves come back in place of the sets, for a caller
-    that lists the members anyway.  Repeats are dropped in order, so a family
-    that is already canonical costs one linear pass of the sort.
+    Each distinct set is sorted once, and that sorted list is both its key
+    and its entry of ``members``.  Repeats are dropped, and a family that
+    is already canonical costs one linear pass of the sort.
     """
-    if keys:
-        return tuple(sorted(map(sorted, dict.fromkeys(sets))))
-    return tuple(sorted(dict.fromkeys(sets), key=sorted))
+    keyed = {s: sorted(s) for s in sets}
+    family = Family(sorted(keyed, key=keyed.__getitem__))
+    family.members = list(map(keyed.__getitem__, family))
+    return family
 
 
 # -- the splitting schema ------------------------------------------------------
@@ -257,13 +283,28 @@ SPLIT_SEMANTICS = (Semantics.STB, Semantics.ADM, Semantics.COM, Semantics.PREF, 
 TopKey = Callable[[frozenset[int]], tuple[Hashable, Callable[[frozenset[int]], frozenset[int]]]]
 
 
+def require_split(semantics: Semantics) -> None:
+    if semantics not in SPLIT_SEMANTICS:
+        raise UnsupportedSemantics(f"split solving does not cover {semantics.value}")
+
+
+def guarded_solver(oracle: Callable, semantics: Semantics, guard: int | str | None) -> SubSolver:
+    """The default sub-solver of a split solve: ``oracle`` (an
+    ``enumerate_extensions``) under the guard, resolved once for every
+    sub-solve.  The semantics is checked first, so an unsupported one is
+    reported before a malformed guard."""
+    require_split(semantics)
+    limit = resolve_guard(guard)
+    return lambda fw, sem: oracle(fw, sem, limit)
+
+
 def split_union(
     semantics: Semantics,
     bottom: F,
     top_of: TopKey,
     solver: SubSolver[F],
     build: Optional[Callable[[Hashable], F]] = None,
-) -> tuple[frozenset[int], ...]:
+) -> Family:
     """Extensions of a split framework: the union over all bottom extensions
     of the lifted extensions of the top each one leaves.
 
@@ -273,8 +314,7 @@ def split_union(
     top (by ``build``; without it the key is the top), which is then looked
     up by framework equality, so unequal keys of one top share one solve.
     """
-    if semantics not in SPLIT_SEMANTICS:
-        raise UnsupportedSemantics(f"split solving does not cover {semantics.value}")
+    require_split(semantics)
     results: set[frozenset[int]] = set()
     solved: dict[Hashable, Sequence[frozenset[int]]] = {}  # by key and by top
     for e1 in solver(bottom, semantics):
@@ -286,6 +326,5 @@ def split_union(
             if family is None:
                 family = solver(top, semantics)
             solved[key] = solved[top] = family
-        for e2 in family:
-            results.add(lift(e2))
+        results.update(map(lift, family))
     return canonical_sets(results)

@@ -39,7 +39,7 @@ from splitkit.errors import (
     UnsupportedSemantics,
     ValidationError,
 )
-from splitkit.semantics import Semantics, SubSolver, split_union, to_mask
+from splitkit.semantics import Semantics, SubSolver, guarded_solver, split_union, to_mask
 from splitkit.semantics import canonical_sets  # noqa: F401  perfbench/layers.py rebinds it here
 
 
@@ -225,7 +225,7 @@ class AbaSplitting:
 
         return split_union(
             semantics, self.bottom, top_of,
-            sub_solver or (lambda f, s: enumerate_extensions(f, s, guard)), self._top,
+            sub_solver or guarded_solver(enumerate_extensions, semantics, guard), self._top,
         )
 
     def _check_e(self, e: Iterable[int]) -> frozenset[int]:

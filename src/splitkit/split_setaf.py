@@ -18,7 +18,7 @@ from functools import cached_property
 from typing import Iterable, NamedTuple, Optional
 
 from splitkit.errors import InvalidSplit
-from splitkit.semantics import Semantics, SubSolver, split_union, to_mask
+from splitkit.semantics import Semantics, SubSolver, guarded_solver, split_union, to_mask
 from splitkit.semantics import canonical_sets  # noqa: F401  perfbench/layers.py rebinds it here
 from splitkit.setaf import (
     Attack,
@@ -160,7 +160,7 @@ class SetafSplitting:
 
         return split_union(
             semantics, sub, top_of,
-            sub_solver or (lambda f, s: enumerate_extensions(f, s, guard)),
+            sub_solver or guarded_solver(enumerate_extensions, semantics, guard),
         )
 
     def _check_e1(self, e1: Iterable[int]) -> frozenset[int]:

@@ -3,9 +3,8 @@ the benchmark's tracer still installs on the program.
 
 Each runs as a subprocess on a small input, in a temporary directory, and
 must exit 0; the first two assert their own split-versus-direct agreement.
-``bench_kernel.py``, ``bench_finder.py`` and ``bench_oracle.py`` write
-their timings to the temporary directory and leave the committed
-``BENCH_*.json`` files as they are.
+The ``bench_*.py`` scripts write their timings to the temporary directory
+and leave the committed ``BENCH_*.json`` files as they are.
 """
 
 import json
@@ -21,7 +20,7 @@ ROOT = Path(__file__).resolve().parent.parent
 
 @pytest.mark.parametrize("script,args", [
     ("check_equivalence.py", ["--count", "40"]),
-    ("bench_split.py", ["--block", "4", "--seeds", "2"]),
+    ("bench_split.py", ["--label", "test", "--out", "k.json", "--stacks", "2", "--repeats", "1"]),
     ("bench_kernel.py", ["--label", "test", "--out", "k.json"]),
     ("bench_finder.py", ["--label", "test", "--out", "k.json"]),
     ("bench_oracle.py", ["--label", "test", "--out", "k.json"]),
@@ -36,7 +35,7 @@ def test_script_runs_clean(script, args, tmp_path):
         env=env, cwd=tmp_path, capture_output=True, text=True, timeout=60,
     )
     assert done.returncode == 0, done.stdout + done.stderr
-    if script.startswith("bench_") and script != "bench_split.py":
+    if script.startswith("bench_"):
         assert "test" in json.loads((tmp_path / "k.json").read_text())["runs"]
         assert committed.read_bytes() == before
 
