@@ -205,19 +205,37 @@ def is_atom_closed(abaf: Abaf, atoms: Iterable[int]) -> bool:
 def theory_closure(
     abaf: Abaf, assumption_set: Iterable[int], rules: Optional[Sequence[Rule]] = None
 ) -> frozenset[int]:
-    """Forward-chaining fixpoint: everything derivable from the given assumptions."""
+    """Everything derivable from the given assumptions, by the counting Horn
+    closure of Dowling and Gallier (1984): each rule counts its body atoms
+    not yet derived, and a derived atom counts down the rules waiting for
+    it, so each body is read once."""
     s = frozenset(assumption_set)
     if not s <= abaf.assumptions:
         raise ValueError("theory_closure expects a set of assumptions")
-    rs = abaf.rules if rules is None else tuple(rules)
     derived = set(s)
-    changed = True
-    while changed:
-        changed = False
-        for r in rs:
-            if r.head not in derived and r.body <= derived:
-                derived.add(r.head)
-                changed = True
+    heads: list[int] = []
+    missing: list[int] = []  # per rule, its body atoms not yet derived
+    waiting: dict[int, list[int]] = {}  # atom -> the rules missing it
+    ready = []
+    for r in abaf.rules if rules is None else rules:
+        count = 0
+        for b in r.body:
+            if b not in derived:
+                count += 1
+                waiting.setdefault(b, []).append(len(heads))
+        if not count:
+            ready.append(r.head)
+        heads.append(r.head)
+        missing.append(count)
+    while ready:
+        atom = ready.pop()
+        if atom in derived:
+            continue
+        derived.add(atom)
+        for i in waiting.get(atom, ()):
+            missing[i] -= 1
+            if not missing[i]:
+                ready.append(heads[i])
     return frozenset(derived)
 
 

@@ -20,8 +20,9 @@ everything else is rigid or free.  The finder ranks one pool for every group
 count, built in the order of the ranking: first sets with no vulnerability
 at all, a balanced prefix chain and the reach of each group; then, only if
 none of them fits the balance window, the minimal minimum cuts anchored on
-pairs of groups and the balls around each group.  The pool is not every
-set, so it can miss the least k that the balance window allows.
+pairs of groups and the balls around each group.  The pool holds atom
+masks, and only the winner becomes a set.  It is not every set, so it can
+miss the least k that the balance window allows.
 """
 
 from __future__ import annotations
@@ -31,7 +32,9 @@ from dataclasses import dataclass
 
 from splitkit.aba import Abaf
 from splitkit.errors import DegenerateSplit, HeadInBodyOut, InvalidBalance, InvalidSplit, NotAtomClosed
-from splitkit.graphs import Digraph, balanced_prefix, balls, condense, flow_network, max_flow, order_ideals
+from splitkit.graphs import (
+    Digraph, balanced_prefix, balls, condense, flow_network, max_flow, order_ideals, tarjan_scc,
+)
 from splitkit.semantics import bits, to_mask
 from splitkit.setaf import Setaf, primal_graph
 from splitkit.split_aba import QuasiSplitting, derivable_atoms, make_quasi_splitting, vulnerabilities
@@ -175,24 +178,28 @@ def find_quasi_splitting(
     if not candidates:
         raise DegenerateSplit("no nontrivial quasi-splitting found")
     total = abaf.n_atoms
+    in_window = [(k, s) for k, s in candidates if lo * total <= s.bit_count() <= hi * total]
+    return make_quasi_splitting(abaf, bits(_ranked(in_window or candidates, total, (lo + hi) / 2)))
 
-    def ranked(pool):
-        return min(
-            pool,
-            key=lambda ks: (ks[0], _score(len(ks[1]), total, (lo + hi) / 2),
-                            len(ks[1]), tuple(sorted(ks[1]))),
-        )
 
-    in_window = [(k, s) for k, s in candidates if lo * total <= len(s) <= hi * total]
-    k, s = ranked(in_window) if in_window else ranked(candidates)
-    return make_quasi_splitting(abaf, s)
+def _ranked(pool: list[tuple[int, int]], total: int, target: float) -> int:
+    """The atom mask of least (k, score, size), then the one holding the
+    lowest bit where two differ: for equal sizes, the lower sorted tuple."""
+    best, win = None, 0
+    for k, mask in pool:
+        size = mask.bit_count()
+        key = (k, _score(size, total, target), size)
+        if best is None or key < best or key == best and mask & (mask ^ win) & -(mask ^ win):
+            best, win = key, mask
+    return win
 
 
 def _quasi_flow(
     abaf: Abaf, con: _Contracted, derivable: frozenset[int], lo: float, hi: float
-) -> list[tuple[int, frozenset[int]]]:
-    """Candidates in the order of the ranking: sets with k = 0 and, only if
-    none lies in the window ``[lo, hi]``, minimal minimum cuts and balls.
+) -> list[tuple[int, int]]:
+    """Candidates as (k, atom mask), in the order of the ranking: sets with
+    k = 0 and, only if none lies in the window ``[lo, hi]``, minimal minimum
+    cuts and balls.
 
     The network has a node per contracted group and a charge node per body
     assumption outside its rule's head group.  A rule links its head group
@@ -202,44 +209,36 @@ def _quasi_flow(
     ``split_aba.vulnerabilities``) and 0 if not.  Rigid links and links of
     cost 1 are the positive links.
 
-    Stage 0 has k = 0 by construction, so nothing is counted.  The positive
-    links, turned round, make a graph whose order ideals are exactly the
-    sets with k = 0; of its prefix chains, with each group's atoms as its
-    mask, the ranking can only choose the best balanced, which
-    ``graphs.balanced_prefix`` finds.  Each group's reach, the last
-    of the ``graphs.balls`` grown around it over the positive links, is
-    closed under them.
+    Stage 0 has k = 0 by construction, so nothing is counted, and it reads
+    the positive links alone.  Turned round, they make a graph whose order
+    ideals are exactly the sets with k = 0; of its prefix chains, with each
+    group's atoms as its mask, the ranking can only choose the best
+    balanced, which ``graphs.balanced_prefix`` finds.  Each group's reach
+    over the positive links is closed under them: one pass over the SCCs of
+    the group graph in Tarjan's order, which emits an SCC after every SCC it
+    reaches, gives each SCC its own atoms ORed with the reaches of its
+    successors.
 
-    Stage 1 runs ``max_flow``, on one residual network, from each group
-    ``gs`` to each ``gt`` that ``gs`` reaches, but not over rigid arcs alone
-    (no cut is finite then).  The cut crosses a charge arc of capacity 1, so
-    its side has k >= 1, counted by ``split_aba.vulnerabilities``, and
-    cannot beat a stage-0 set in the window.  A cut's minimal side has the
-    least k around ``gs``, which may miss the window: on a ring of groups it
-    is one group or all but one.  The other balls, and the complements of
-    the balls over the links turned round, add the sets between.  The least
-    k in the window is a balanced minimum cut, so the pool is not exhaustive
-    and can miss it.
+    Only then is the network built.  Stage 1 runs ``max_flow``, on one
+    residual network, from each group ``gs`` to each ``gt`` that ``gs``
+    reaches, but not over rigid arcs alone (no cut is finite then).  The cut
+    crosses a charge arc of capacity 1, so its side has k >= 1, counted by
+    ``split_aba.vulnerabilities``, and cannot beat a stage-0 set in the
+    window.  A cut's minimal side has the least k around ``gs``, which may
+    miss the window: on a ring of groups it is one group or all but one.
+    The ``graphs.balls`` around each group, and the complements of the balls
+    over the links turned round, add the sets between.  The least k in the
+    window is a balanced minimum cut, so the pool is not exhaustive and can
+    miss it.
     """
     m = len(con.groups)
-    charge_node: dict[int, int] = {}
-    arcs: dict[tuple[int, int], int] = {}
+    group_of, assumptions, contrary = con.group_of, abaf.assumptions, abaf.contrary
     below: set[tuple[int, int]] = set()  # body group -> head group, positive
-    inf = abaf.n_atoms + 1
     for r in abaf.rules:
-        gh = con.group_of[r.head]
+        gh = group_of[r.head]
         for b in r.body:
-            gb = con.group_of[b]
-            if gb == gh:
-                continue
-            if b not in abaf.assumptions:
-                arcs[(gh, gb)] = inf
-            else:
-                if b not in charge_node:
-                    charge_node[b] = m + len(charge_node)
-                    arcs[(charge_node[b], gb)] = int(abaf.contrary[b] in derivable)
-                arcs[(gh, charge_node[b])] = inf
-            if b not in abaf.assumptions or abaf.contrary[b] in derivable:
+            gb = group_of[b]
+            if gb != gh and (b not in assumptions or contrary[b] in derivable):
                 below.add((gb, gh))
 
     def adjacency(pairs) -> list[list[int]]:
@@ -248,20 +247,54 @@ def _quasi_flow(
             succ[u].append(v)
         return succ
 
-    def atoms(mask: int) -> frozenset[int]:
-        return frozenset().union(*[g for gi, g in enumerate(con.groups) if mask >> gi & 1])
-
-    rigid = {(u, v) for u, v in arcs if max(u, v) < m}  # the rigid arcs between groups
-    down, rigid_down = adjacency((gh, gb) for gb, gh in below), adjacency(rigid)
-    up = adjacency(below)
-    around = [balls(down, rigid_down, gs) for gs in range(m)]
+    down, up = adjacency((gh, gb) for gb, gh in below), adjacency(below)
+    group_atoms = [to_mask(g) for g in con.groups]
+    scc_of = [0] * m
+    reach_groups: list[int] = []  # per SCC, as a group mask and as an atom mask
+    reach_atoms: list[int] = []
+    for c, comp in enumerate(tarjan_scc(m, down)):
+        for g in comp:
+            scc_of[g] = c
+        groups = atoms = 0
+        for g in comp:
+            groups |= 1 << g
+            atoms |= group_atoms[g]
+            for w in down[g]:
+                if scc_of[w] != c:
+                    groups |= reach_groups[scc_of[w]]
+                    atoms |= reach_atoms[scc_of[w]]
+        reach_groups.append(groups)
+        reach_atoms.append(atoms)
     full = (1 << m) - 1
-    reaches = {grown[-1] for grown in around} - {full}
-    chain = balanced_prefix(up, [to_mask(g) for g in con.groups], (lo + hi) / 2 * abaf.n_atoms)
-    out = [(0, bits(chain))] if chain else []
-    out += [(0, atoms(mask)) for mask in reaches]
-    if any(lo * abaf.n_atoms <= len(s) <= hi * abaf.n_atoms for _, s in out):
+    reaches = {reach_groups[c] for c in scc_of} - {full}  # in the order of the group masks
+    # The set holds the very ints of reach_groups, so each finds its atom
+    # mask by identity: the hashes of a chain's reaches, runs of bits, take
+    # few values mod 2^61 - 1, so a lookup by value compares long ints.
+    atoms_of = {id(g): a for g, a in zip(reach_groups, reach_atoms)}
+    chain = balanced_prefix(up, group_atoms, (lo + hi) / 2 * abaf.n_atoms)
+    out = [(0, chain)] if chain else []
+    out += [(0, atoms_of[id(mask)]) for mask in reaches]
+    if any(lo * abaf.n_atoms <= s.bit_count() <= hi * abaf.n_atoms for _, s in out):
         return out  # no set beats k = 0 in the window
+    charge_node: dict[int, int] = {}
+    arcs: dict[tuple[int, int], int] = {}
+    inf = abaf.n_atoms + 1
+    for r in abaf.rules:
+        gh = group_of[r.head]
+        for b in r.body:
+            gb = group_of[b]
+            if gb == gh:
+                continue
+            if b not in assumptions:
+                arcs[(gh, gb)] = inf
+            else:
+                if b not in charge_node:
+                    charge_node[b] = m + len(charge_node)
+                    arcs[(charge_node[b], gb)] = int(contrary[b] in derivable)
+                arcs[(gh, charge_node[b])] = inf
+    rigid = {(u, v) for u, v in arcs if max(u, v) < m}  # the rigid arcs between groups
+    rigid_down = adjacency(rigid)
+    around = [balls(down, rigid_down, gs) for gs in range(m)]
     network = flow_network(m + len(charge_node), arcs)
     found = {  # charge nodes count for no group
         sum(1 << g for g in max_flow(network, gs, gt)[1] if g < m)
@@ -271,5 +304,9 @@ def _quasi_flow(
     found.update(ball for grown in around for ball in grown)
     rigid_up = adjacency((v, u) for u, v in rigid)
     found.update(full ^ ball for gs in range(m) for ball in balls(up, rigid_up, gs))
-    sets = map(atoms, found - reaches - {0, full})
-    return out + [(len(vulnerabilities(abaf, s, derivable)), s) for s in sets]
+    for mask in found - reaches - {0, full}:
+        atoms = 0
+        for g in bits(mask):
+            atoms |= group_atoms[g]
+        out.append((len(vulnerabilities(abaf, bits(atoms), derivable)), atoms))
+    return out

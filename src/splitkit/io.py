@@ -28,21 +28,6 @@ from splitkit.semantics import Family, canonical_sets
 from splitkit.setaf import Setaf
 
 
-def _tokens(text: str):
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line:
-            continue
-        parts = line.split()
-        if parts[0] == "#":
-            if len(parts) >= 3 and parts[1] == "name":
-                yield line_no, ["#name", parts[2], " ".join(parts[3:])]
-            continue
-        if parts[0].startswith("#"):
-            continue
-        yield line_no, parts
-
-
 def _parse_id(line_no: int, token: str, n: int) -> int:
     try:
         i = int(token)
@@ -53,72 +38,105 @@ def _parse_id(line_no: int, token: str, n: int) -> int:
     return i - 1
 
 
-def _read_framework(text: str, kind: str) -> tuple[int, list[str], list[tuple[int, list[str]]]]:
-    """The size from the ``p <kind> <n>`` header, the display names, and the
-    remaining directives with their line numbers.
+def _read(text: str, kind: str):
+    """One pass over the lines of a ``p <kind> <n>`` text: the display
+    names, and the assumptions, contraries and rules of an ABA text or the
+    attacks, as (tail, head), of a SETAF text.
 
-    The final names must be distinct, default names included; a clash is
-    reported on the later of the ``# name`` lines that made it.
+    Atom ids are looked up by their default names; any other token (``03``
+    is atom 3 too) goes through ``_parse_id``.  Header and ``# name`` errors
+    are raised where the pass meets them, and a clash of final display names
+    (reported on the later of the ``# name`` lines that made it) when it
+    ends; the first error of any other directive waits until then, so those
+    come first whatever their lines.
     """
-    n = None
-    names: list[str] = []
-    named_on: dict[int, int] = {}  # atom -> line of its last ``# name``
-    directives = []
-    for line_no, parts in _tokens(text):
-        if parts[0] == "p":
-            if n is not None:
-                raise ParseError(line_no, "duplicate header")
-            if len(parts) != 3 or parts[1] != kind or not parts[2].isdecimal():
-                raise ParseError(line_no, f"expected header 'p {kind} <n>' with n >= 0")
-            n = int(parts[2])
-            names = [str(i + 1) for i in range(n)]
-        elif n is None:
+    lines = enumerate(text.splitlines(), start=1)
+    for line_no, raw in lines:  # blanks and comments, then the header
+        parts = raw.split()
+        if not parts or parts[0][0] == "#" and (parts[0] != "#" or len(parts) < 3 or parts[1] != "name"):
+            continue
+        if parts[0] != "p":
             raise ParseError(line_no, f"missing 'p {kind} <n>' header")
-        elif parts[0] == "#name":
-            idx = _parse_id(line_no, parts[1], n)
-            if not parts[2]:
-                raise ParseError(line_no, "empty display name")
-            names[idx] = parts[2]
-            named_on[idx] = line_no
-        else:
-            directives.append((line_no, parts))
-    if n is None:
+        if len(parts) != 3 or parts[1] != kind or not parts[2].isdecimal():
+            raise ParseError(line_no, f"expected header 'p {kind} <n>' with n >= 0")
+        break
+    else:
         raise ParseError(1, f"missing 'p {kind} <n>' header")
+    n = int(parts[2])
+    names = [str(i + 1) for i in range(n)]
+    ids = dict(zip(names, range(n)))  # default name -> id
+    lookup = ids.__getitem__
+    named_on: dict[int, int] = {}  # atom -> line of its last ``# name``
+    aba = kind == "aba"
+    rule_op, least, short = ("r", 2, "expected 'r <head> <body...>'") if aba else \
+        ("e", 3, "attack needs a head and a nonempty tail")
+    assumptions: set[int] = set()
+    contrary: dict[int, int] = {}
+    rules: list = []
+    error = None
+    for line_no, raw in lines:
+        parts = raw.split()
+        if not parts:
+            continue
+        op = parts[0]
+        if op[0] == "#":
+            if op == "#" and len(parts) >= 3 and parts[1] == "name":
+                i = ids.get(parts[2])
+                if i is None:
+                    i = _parse_id(line_no, parts[2], n)
+                name = " ".join(parts[3:])
+                if not name:
+                    raise ParseError(line_no, "empty display name")
+                names[i] = name
+                named_on[i] = line_no
+            continue
+        if op == "p":
+            raise ParseError(line_no, "duplicate header")
+        if error:
+            continue
+        try:
+            if op == rule_op:
+                if len(parts) < least:
+                    raise ParseError(line_no, short)
+                try:
+                    atoms = list(map(lookup, parts[1:]))
+                except KeyError:
+                    atoms = [_parse_id(line_no, t, n) for t in parts[1:]]
+                head, body = atoms[0], frozenset(atoms[1:])
+                rules.append(Rule(head, body) if aba else (body, head))
+            elif op == "a" and aba:
+                if len(parts) != 2:
+                    raise ParseError(line_no, "expected 'a <i>'")
+                i = ids.get(parts[1])
+                assumptions.add(_parse_id(line_no, parts[1], n) if i is None else i)
+            elif op == "c" and aba:
+                if len(parts) != 3:
+                    raise ParseError(line_no, "expected 'c <i> <j>'")
+                i = ids.get(parts[1])
+                if i is None:
+                    i = _parse_id(line_no, parts[1], n)
+                if i in contrary:
+                    raise ParseError(line_no, f"contrary of atom {i + 1} redeclared")
+                j = ids.get(parts[2])
+                contrary[i] = _parse_id(line_no, parts[2], n) if j is None else j
+            else:
+                raise ParseError(line_no, f"unknown directive {op!r}")
+        except ParseError as err:
+            error = err
     seen: dict[str, int] = {}
-    for i, name in enumerate(names):
+    for i, name in enumerate(names if len(set(names)) < n else ()):
         if name in seen:  # default names are distinct, so one of the two was named
             first, later = sorted((seen[name], i), key=lambda k: named_on.get(k, 0))
             raise ParseError(named_on[later],
                              f"display name {name!r} of atom {later + 1} is already atom {first + 1}'s")
         seen[name] = i
-    return n, names, directives
+    if error:
+        raise error
+    return tuple(names), assumptions, contrary, tuple(rules)
 
 
 def parse_aba(text: str, strict_dummy: bool = False) -> Abaf:
-    n, names, directives = _read_framework(text, "aba")
-    assumptions: set[int] = set()
-    contrary: dict[int, int] = {}
-    rules: list[Rule] = []
-    for line_no, parts in directives:
-        if parts[0] == "a":
-            if len(parts) != 2:
-                raise ParseError(line_no, "expected 'a <i>'")
-            assumptions.add(_parse_id(line_no, parts[1], n))
-        elif parts[0] == "c":
-            if len(parts) != 3:
-                raise ParseError(line_no, "expected 'c <i> <j>'")
-            i = _parse_id(line_no, parts[1], n)
-            if i in contrary:
-                raise ParseError(line_no, f"contrary of atom {i + 1} redeclared")
-            contrary[i] = _parse_id(line_no, parts[2], n)
-        elif parts[0] == "r":
-            if len(parts) < 2:
-                raise ParseError(line_no, "expected 'r <head> <body...>'")
-            head = _parse_id(line_no, parts[1], n)
-            body = frozenset(_parse_id(line_no, t, n) for t in parts[2:])
-            rules.append(Rule(head, body))
-        else:
-            raise ParseError(line_no, f"unknown directive {parts[0]!r}")
+    names, assumptions, contrary, rules = _read(text, "aba")
     missing = assumptions - set(contrary)
     if missing:
         raise ValidationError(
@@ -129,7 +147,7 @@ def parse_aba(text: str, strict_dummy: bool = False) -> Abaf:
         raise ValidationError(
             f"contrary declared for non-assumption atom {min(stray) + 1}"
         )
-    abaf = Abaf(tuple(names), tuple(rules), frozenset(assumptions), contrary)
+    abaf = Abaf(names, rules, frozenset(assumptions), contrary)
     abaf, dummies = strip_dummy_rules(abaf)
     if dummies:
         listing = "; ".join(
@@ -143,18 +161,8 @@ def parse_aba(text: str, strict_dummy: bool = False) -> Abaf:
 
 
 def parse_setaf(text: str) -> Setaf:
-    n, names, directives = _read_framework(text, "setaf")
-    attacks: list[tuple[frozenset[int], int]] = []
-    for line_no, parts in directives:
-        if parts[0] == "e":
-            if len(parts) < 3:
-                raise ParseError(line_no, "attack needs a head and a nonempty tail")
-            head = _parse_id(line_no, parts[1], n)
-            tail = frozenset(_parse_id(line_no, t, n) for t in parts[2:])
-            attacks.append((tail, head))
-        else:
-            raise ParseError(line_no, f"unknown directive {parts[0]!r}")
-    return Setaf(tuple(names), tuple(attacks))
+    names, _, _, attacks = _read(text, "setaf")
+    return Setaf(names, attacks)
 
 
 def emit_aba(abaf: Abaf) -> str:

@@ -415,7 +415,12 @@ def vulnerabilities(
 
 
 def make_quasi_splitting(abaf: Abaf, sentence_set: Iterable[int]) -> QuasiSplitting:
-    s, r1, r2 = _cut(abaf, sentence_set, abaf.assumptions, NonAssumptionBodyOut)
+    """The quasi-splitting of ``abaf`` by ``sentence_set``, kept in the
+    framework's cache, so the finder's pick is built once for its solve."""
+    key = ("quasi", frozenset(sentence_set))
+    if key in abaf._cache:
+        return abaf._cache[key]
+    s, r1, r2 = _cut(abaf, key[1], abaf.assumptions, NonAssumptionBodyOut)
     vulnerable = vulnerabilities(abaf, s, derivable_atoms(abaf))
     # an assumption outside S that is no vulnerability is never attacked
     l1 = s | vulnerable | frozenset(abaf.contrary[b] for b in vulnerable)
@@ -432,7 +437,9 @@ def make_quasi_splitting(abaf: Abaf, sentence_set: Iterable[int]) -> QuasiSplitt
         rules += [Rule(abaf.contrary[b], frozenset({marker})), Rule(marker + 1, frozenset({b}))]
     a1 = frozenset(contrary)
     bottom = Abaf(tuple(names), tuple(rules), a1, contrary)
-    return QuasiSplitting(abaf, s, bottom, r1, r2, a1, abaf.assumptions - s, vulnerable, marker_of)
+    q = QuasiSplitting(abaf, s, bottom, r1, r2, a1, abaf.assumptions - s, vulnerable, marker_of)
+    abaf._cache[key] = q
+    return q
 
 
 def param_split_solve(

@@ -14,16 +14,23 @@ listed the prefixes of five keyed Kahn orders of the condensation
 and validated it by building the splitting (``make_splitting``).  The quasi
 finder's k = 0 chain candidate came from the same two steps on the group
 graph; ``quasi_flow`` is that candidate pool, the rest unchanged.
+
+The parser (``parse_aba``, ``parse_setaf``) is the one before ``io._read``:
+a token pass, a pass for the header and the display names, then one over
+the directives, each id through ``_parse_id``.  ``theory_closure`` is the
+closure before the counting one: it rescans every rule until nothing
+changes.
 """
 
+import warnings
 from dataclasses import replace
 from heapq import heapify, heappop, heappush
 
-from splitkit.aba import minimal_supports, require_flat
-from splitkit.errors import DegenerateSplit, InvalidBalance
+from splitkit.aba import Abaf, Rule, minimal_supports, require_flat, strip_dummy_rules
+from splitkit.errors import DegenerateSplit, InvalidBalance, ParseError, ValidationError
 from splitkit.graphs import Digraph, balls, condense, flow_network, max_flow
 from splitkit.semantics import Semantics, canonical_sets, compute_families, unmask
-from splitkit.setaf import primal_graph
+from splitkit.setaf import Setaf, primal_graph
 from splitkit.split_aba import make_splitting, vulnerabilities
 from splitkit.split_setaf import make_splitting as make_setaf_splitting
 
@@ -195,3 +202,139 @@ def quasi_flow(abaf, con, derivable, lo: float, hi: float):
     found.update(full ^ ball for gs in range(m) for ball in balls(up, rigid_up, gs))
     sets = map(atoms, found - reaches - {0, full})
     return out + [(len(vulnerabilities(abaf, s, derivable)), s) for s in sets]
+
+
+def _tokens(text: str):
+    for line_no, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line:
+            continue
+        parts = line.split()
+        if parts[0] == "#":
+            if len(parts) >= 3 and parts[1] == "name":
+                yield line_no, ["#name", parts[2], " ".join(parts[3:])]
+            continue
+        if parts[0].startswith("#"):
+            continue
+        yield line_no, parts
+
+
+def _parse_id(line_no: int, token: str, n: int) -> int:
+    try:
+        i = int(token)
+    except ValueError:
+        raise ParseError(line_no, f"expected an atom id, got {token!r}") from None
+    if not 1 <= i <= n:
+        raise ParseError(line_no, f"atom id {i} out of range 1..{n}")
+    return i - 1
+
+
+def _read_framework(text: str, kind: str):
+    n = None
+    names = []
+    named_on = {}
+    directives = []
+    for line_no, parts in _tokens(text):
+        if parts[0] == "p":
+            if n is not None:
+                raise ParseError(line_no, "duplicate header")
+            if len(parts) != 3 or parts[1] != kind or not parts[2].isdecimal():
+                raise ParseError(line_no, f"expected header 'p {kind} <n>' with n >= 0")
+            n = int(parts[2])
+            names = [str(i + 1) for i in range(n)]
+        elif n is None:
+            raise ParseError(line_no, f"missing 'p {kind} <n>' header")
+        elif parts[0] == "#name":
+            idx = _parse_id(line_no, parts[1], n)
+            if not parts[2]:
+                raise ParseError(line_no, "empty display name")
+            names[idx] = parts[2]
+            named_on[idx] = line_no
+        else:
+            directives.append((line_no, parts))
+    if n is None:
+        raise ParseError(1, f"missing 'p {kind} <n>' header")
+    seen = {}
+    for i, name in enumerate(names):
+        if name in seen:
+            first, later = sorted((seen[name], i), key=lambda k: named_on.get(k, 0))
+            raise ParseError(named_on[later],
+                             f"display name {name!r} of atom {later + 1} is already atom {first + 1}'s")
+        seen[name] = i
+    return n, names, directives
+
+
+def parse_aba(text: str, strict_dummy: bool = False) -> Abaf:
+    n, names, directives = _read_framework(text, "aba")
+    assumptions = set()
+    contrary = {}
+    rules = []
+    for line_no, parts in directives:
+        if parts[0] == "a":
+            if len(parts) != 2:
+                raise ParseError(line_no, "expected 'a <i>'")
+            assumptions.add(_parse_id(line_no, parts[1], n))
+        elif parts[0] == "c":
+            if len(parts) != 3:
+                raise ParseError(line_no, "expected 'c <i> <j>'")
+            i = _parse_id(line_no, parts[1], n)
+            if i in contrary:
+                raise ParseError(line_no, f"contrary of atom {i + 1} redeclared")
+            contrary[i] = _parse_id(line_no, parts[2], n)
+        elif parts[0] == "r":
+            if len(parts) < 2:
+                raise ParseError(line_no, "expected 'r <head> <body...>'")
+            head = _parse_id(line_no, parts[1], n)
+            body = frozenset(_parse_id(line_no, t, n) for t in parts[2:])
+            rules.append(Rule(head, body))
+        else:
+            raise ParseError(line_no, f"unknown directive {parts[0]!r}")
+    missing = assumptions - set(contrary)
+    if missing:
+        raise ValidationError(f"assumption {min(missing) + 1} has no declared contrary")
+    stray = set(contrary) - assumptions
+    if stray:
+        raise ValidationError(f"contrary declared for non-assumption atom {min(stray) + 1}")
+    abaf = Abaf(tuple(names), tuple(rules), frozenset(assumptions), contrary)
+    abaf, dummies = strip_dummy_rules(abaf)
+    if dummies:
+        listing = "; ".join(
+            f"{abaf.names[r.head]} <- {','.join(sorted(abaf.names[b] for b in r.body))}"
+            for r in dummies
+        )
+        if strict_dummy:
+            raise ValidationError(f"dummy rules present: {listing}")
+        warnings.warn(f"stripped dummy rules: {listing}", stacklevel=2)
+    return abaf
+
+
+def parse_setaf(text: str) -> Setaf:
+    n, names, directives = _read_framework(text, "setaf")
+    attacks = []
+    for line_no, parts in directives:
+        if parts[0] == "e":
+            if len(parts) < 3:
+                raise ParseError(line_no, "attack needs a head and a nonempty tail")
+            head = _parse_id(line_no, parts[1], n)
+            tail = frozenset(_parse_id(line_no, t, n) for t in parts[2:])
+            attacks.append((tail, head))
+        else:
+            raise ParseError(line_no, f"unknown directive {parts[0]!r}")
+    return Setaf(tuple(names), tuple(attacks))
+
+
+def theory_closure(abaf, assumption_set, rules=None) -> frozenset[int]:
+    """Forward-chaining fixpoint: everything derivable from the given assumptions."""
+    s = frozenset(assumption_set)
+    if not s <= abaf.assumptions:
+        raise ValueError("theory_closure expects a set of assumptions")
+    rs = abaf.rules if rules is None else tuple(rules)
+    derived = set(s)
+    changed = True
+    while changed:
+        changed = False
+        for r in rs:
+            if r.head not in derived and r.body <= derived:
+                derived.add(r.head)
+                changed = True
+    return frozenset(derived)

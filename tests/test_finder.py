@@ -23,7 +23,7 @@ from splitkit.finder import (
 from splitkit.generate import random_abaf, random_setaf
 from splitkit.graphs import Digraph, condense, flow_network, max_flow, order_ideals
 from splitkit.instantiate import aba_to_setaf, setaf_to_aba
-from splitkit.semantics import Semantics
+from splitkit.semantics import Semantics, bits, to_mask
 from splitkit.setaf import Setaf
 from splitkit.split_aba import (
     derivable_atoms, make_quasi_splitting, make_splitting, split_solve, vulnerabilities,
@@ -503,7 +503,7 @@ def test_finder_cost_is_the_quasi_splitting_k():
             costs[atoms] = q.k
             assert q.k == paper_k(d, atoms) == len(vulnerabilities(d, atoms, derivable))
         # no set fits an empty window, so the balls are candidates too
-        candidates = finder._quasi_flow(d, con, derivable, 1, 0)
+        candidates = [(k, bits(s)) for k, s in finder._quasi_flow(d, con, derivable, 1, 0)]
         for k, atoms in candidates:
             assert costs[atoms] == k
         chains, ideals = k0_chains(d, con)
@@ -521,7 +521,8 @@ def all_pairs_quasi_flow(abaf, con, derivable, lo, hi):
     one max-flow per ordered pair of groups, each anchored by rigid arcs from
     a super source and into a super sink, on a copy of the network; then the
     best balanced prefix chain of ``k0_chains``, and the ``ball_sets`` unless
-    some set with k = 0 fits the window."""
+    some set with k = 0 fits the window; each set as an atom mask, as
+    ``finder._quasi_flow`` gives it."""
     m = len(con.groups)
     charge_node = {}
     next_id = m
@@ -564,11 +565,10 @@ def all_pairs_quasi_flow(abaf, con, derivable, lo, hi):
     chains = k0_chains(abaf, con)[0]
     if chains:
         out.append((0, best_balanced(chains, abaf.n_atoms, (lo + hi) / 2)))
-    if any(k == 0 and lo * abaf.n_atoms <= len(s) <= hi * abaf.n_atoms for k, s in out):
-        return out
-    for atoms in ball_sets(abaf, con) - seen - {frozenset(), abaf.atoms}:
-        out.append((len(vulnerabilities(abaf, atoms, derivable)), atoms))
-    return out
+    if not any(k == 0 and lo * abaf.n_atoms <= len(s) <= hi * abaf.n_atoms for k, s in out):
+        for atoms in ball_sets(abaf, con) - seen - {frozenset(), abaf.atoms}:
+            out.append((len(vulnerabilities(abaf, atoms, derivable)), atoms))
+    return [(k, to_mask(s)) for k, s in out]
 
 
 def ball_sets(d, con):
@@ -648,7 +648,7 @@ def test_quasi_flow_candidates_match_the_all_pairs_loop(monkeypatch):
         assert pool <= reference
         assert all(k >= 1 for k, _ in reference - pool)
         if pool != reference:
-            assert any(k == 0 and 0.25 * d.n_atoms <= len(s) <= 0.75 * d.n_atoms for k, s in pool)
+            assert any(k == 0 and 0.25 * d.n_atoms <= s.bit_count() <= 0.75 * d.n_atoms for k, s in pool)
         # no flow runs whose cut is known: zero cuts and rigid pairs
         assert all(0 < value < d.n_atoms + 1 for value in flows)
         if not reference:
@@ -700,7 +700,7 @@ def test_quasi_flow_sides_cost_more_than_the_reaches(monkeypatch):
             continue
         derivable = derivable_atoms(d)
         sides.clear()
-        pool = set(finder._quasi_flow(d, con, derivable, 1, 0))
+        pool = {(k, bits(s)) for k, s in finder._quasi_flow(d, con, derivable, 1, 0)}
         for side in sides:
             atoms = frozenset().union(*(con.groups[g] for g in side if g < m))
             assert len(vulnerabilities(d, atoms, derivable)) >= 1

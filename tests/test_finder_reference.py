@@ -5,10 +5,13 @@ lists from the rules or attacks and choose the best balanced prefix in
 ``graphs.balanced_prefix``; ``reference`` keeps the path before it
 (``condense``, ``prefix_ideals``, ``most_balanced``, ``make_splitting``).
 Both must return the same set, or raise the same error type, at every
-balance target, and the quasi finder's candidate pool must not change.
+balance target, and the quasi finder's candidate pool must not change, nor
+its pick, which it ranks on atom masks.
 """
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given
 
 from helpers import assumption_contrary_abaf, cyclic_abaf, perfbench_module, perfbench_stack
 import reference
@@ -16,6 +19,7 @@ from splitkit import finder
 from splitkit.errors import SplitkitError
 from splitkit.generate import random_abaf, random_setaf
 from splitkit.instantiate import aba_to_setaf, setaf_to_aba
+from splitkit.semantics import bits, to_mask
 from splitkit.split_aba import derivable_atoms
 
 TARGETS = (0, 0.3, 0.5, 0.8, 1)
@@ -107,8 +111,48 @@ def test_quasi_flow_candidates_are_unchanged(window):
         if len(con.groups) <= 1:
             continue
         derivable = derivable_atoms(d)
-        pool = finder._quasi_flow(d, con, derivable, *window)
+        pool = [(k, bits(s)) for k, s in finder._quasi_flow(d, con, derivable, *window)]
         assert pool == reference.quasi_flow(d, con, derivable, *window)
         compared += 1
     assert compared > 150
 
+
+
+def tuple_key(total, target):
+    """The ranking on sets: least (k, score, size, sorted tuple)."""
+    return lambda ks: (ks[0], abs(len(ks[1]) - target * total), len(ks[1]), tuple(sorted(ks[1])))
+
+
+def tuple_ranked(pool, total, lo, hi):
+    """The set that ranks first, among those in the window if any."""
+    in_window = [(k, s) for k, s in pool if lo * total <= len(s) <= hi * total]
+    return min(in_window or pool, key=tuple_key(total, (lo + hi) / 2))[1]
+
+
+@pytest.mark.parametrize("window", [(0.25, 0.75), (0.4, 0.6), (0, 1), (0.5, 0.5)])
+def test_quasi_pick_is_the_tuple_ranked_pick_of_the_reference_pool(window):
+    picked = 0
+    for d in quasi_corpus():
+        con = finder.pair_contracted(d)
+        if len(con.groups) <= 1:
+            continue
+        pool = reference.quasi_flow(d, con, derivable_atoms(d), *window)
+        try:
+            q = finder.find_quasi_splitting(d, *window)
+        except SplitkitError:
+            assert not pool
+            continue
+        assert q.s == tuple_ranked(pool, d.n_atoms, *window)
+        picked += 1
+    assert picked > 150
+
+
+pools = st.lists(st.tuples(st.integers(0, 2), st.integers(1, (1 << 10) - 1)), min_size=1, max_size=12)
+
+
+@given(pools, st.floats(0, 1))
+def test_lowest_differing_bit_breaks_ties_as_the_sorted_tuple(pool, target):
+    """Among sets of one k, score and size, the winner holds the lowest bit
+    where two differ, which is the lower sorted tuple."""
+    as_sets = [(k, bits(mask)) for k, mask in pool]
+    assert finder._ranked(pool, 10, target) == to_mask(min(as_sets, key=tuple_key(10, target))[1])

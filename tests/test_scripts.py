@@ -24,6 +24,7 @@ ROOT = Path(__file__).resolve().parent.parent
     ("bench_kernel.py", ["--label", "test", "--out", "k.json"]),
     ("bench_finder.py", ["--label", "test", "--out", "k.json"]),
     ("bench_oracle.py", ["--label", "test", "--out", "k.json"]),
+    ("bench_scale.py", ["--label", "test", "--out", "k.json", "--max-links", "500"]),
 ])
 def test_script_runs_clean(script, args, tmp_path):
     committed = ROOT / script.replace("bench_", "BENCH_").replace(".py", ".json")
